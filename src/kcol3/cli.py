@@ -51,6 +51,8 @@ def _read_witness(path: str, n: int, k: int) -> Coloring:
             raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
         if not (0 <= color < k):
             raise ParseError(f"color {color} out of range 0..{k - 1}", lineno)
+        if v - 1 in assignment:
+            raise ParseError(f"duplicate line for vertex {v}", lineno)
         assignment[v - 1] = color
     missing = [v for v in range(n) if v not in assignment]
     if missing:

@@ -86,22 +86,25 @@ class ReductionMap:
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
         doc = json.loads(text)
-        log = []
-        for rec in doc["gadgets"]:
-            boundary = tuple(rec["boundary"])
-            # Re-derive the wiring from the deterministic construction.
-            inst = _rebuild_instance(boundary, rec["internal_start"], rec["internal_len"])
-            log.append((rec["tag"], inst))
-        return cls(
-            k=doc["k"],
-            n=doc["n"],
-            e=doc["e"],
-            t_vertex=doc["t"],
-            f_vertex=doc["f"],
-            r_vertex=doc["r"],
-            indicator=tuple(tuple(row) for row in doc["indicator"]),
-            gadget_log=tuple(log),
-        )
+        try:
+            log = []
+            for rec in doc["gadgets"]:
+                boundary = tuple(rec["boundary"])
+                # Re-derive the wiring from the deterministic construction.
+                inst = _rebuild_instance(boundary, rec["internal_start"], rec["internal_len"])
+                log.append((rec["tag"], inst))
+            return cls(
+                k=doc["k"],
+                n=doc["n"],
+                e=doc["e"],
+                t_vertex=doc["t"],
+                f_vertex=doc["f"],
+                r_vertex=doc["r"],
+                indicator=tuple(tuple(row) for row in doc["indicator"]),
+                gadget_log=tuple(log),
+            )
+        except KeyError as exc:
+            raise ValueError(f"reduction map is missing field {exc.args[0]!r}") from None
 
 
 def _rebuild_instance(boundary: tuple[int, ...], start: int, length: int) -> GadgetInstance:

@@ -4,7 +4,9 @@ This is the ground-truth oracle for every equivalence test, so it is
 deliberately independent of the SAT-route module. The search uses:
 
 * most-constrained-vertex-first ordering (fewest remaining feasible
-  colors, ties broken by lowest index);
+  colors, ties broken by lowest index), read in O(log n) off a heap of
+  (domain size, vertex) entries whose stale entries are dropped lazily,
+  rebuilt from the uncolored vertices past 4n + 64 entries;
 * forward pruning of uncolored neighbors' color sets;
 * a pair-propagation rule: two adjacent uncolored vertices sharing the
   same two-color domain must use both colors, so their common neighbors
@@ -12,15 +14,18 @@ deliberately independent of the SAT-route module. The search uses:
 * symmetry breaking: the first colored vertex is fixed to color 0 and
   new colors are introduced in ascending order.
 
+The search loops over an explicit stack of frames, one per colored
+vertex, so it neither recurses nor touches the recursion limit.
+
 Deterministic: identical inputs yield identical outcomes, witnesses and
 node counts.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import InvariantViolation, SolveTimeout
 from .graphs import Coloring, Graph, is_proper_coloring
@@ -38,10 +43,6 @@ class SolveOutcome:
     wall_time: float
 
 
-class _Timeout(Exception):
-    pass
-
-
 def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     """Decide k-colorability of g within a wall-clock budget (seconds)."""
     if k < 1:
@@ -52,8 +53,6 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         return SolveOutcome("colorable", Coloring(k, ()), 0, time.perf_counter() - start)
     if budget <= 0:
         return SolveOutcome("timeout", None, 0, 0.0)
-    if sys.getrecursionlimit() < n + 200:
-        sys.setrecursionlimit(n + 200)
     adj = g.adjacency()
     adj_sets = [set(row) for row in adj]
     common_cache: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -70,6 +69,19 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     domains = [full] * n
     assignment = [-1] * n
     nodes = 0
+    # Holds (domain size, vertex) for every uncolored vertex, among stale
+    # entries: a push follows every change to a domain or an unassignment.
+    heap = [(k, v) for v in range(n)]
+
+    def select() -> int:
+        if len(heap) > 4 * n + 64:
+            heap[:] = [(domains[v].bit_count(), v) for v in range(n) if assignment[v] < 0]
+            heapify(heap)
+        while True:
+            size, v = heap[0]
+            if assignment[v] < 0 and domains[v].bit_count() == size:
+                return v
+            heappop(heap)
 
     def propagate(start_vertex: int, bit: int, trail: list[tuple[int, int]]) -> bool:
         """Prune `bit` from start_vertex's uncolored neighbors, then chase
@@ -80,9 +92,11 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
             if assignment[w] < 0 and domains[w] & bit:
                 domains[w] &= ~bit
                 trail.append((w, bit))
-                if domains[w] == 0:
+                size = domains[w].bit_count()
+                if size == 0:
                     return False
-                if domains[w].bit_count() == 2:
+                heappush(heap, (size, w))
+                if size == 2:
                     pairs.append(w)
         while pairs:
             v = pairs.pop()
@@ -96,47 +110,46 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                             removed = domains[u] & dom
                             domains[u] &= ~dom
                             trail.append((u, removed))
-                            if domains[u] == 0:
+                            size = domains[u].bit_count()
+                            if size == 0:
                                 return False
-                            if domains[u].bit_count() == 2:
+                            heappush(heap, (size, u))
+                            if size == 2:
                                 pairs.append(u)
         return True
 
-    def search(colored: int, used: int) -> bool:
-        nonlocal nodes
-        if colored == n:
-            return True
-        best, best_count = -1, k + 1
-        for v in range(n):
-            if assignment[v] < 0:
-                c = domains[v].bit_count()
-                if c < best_count:
-                    best, best_count = v, c
-                    if c <= 1:
-                        break
-        candidates = domains[best] & ((1 << min(k, used + 1)) - 1)
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            color = bit.bit_length() - 1
-            nodes += 1
-            if nodes % 256 == 0 and time.perf_counter() - start > budget:
-                raise _Timeout
-            assignment[best] = color
-            trail: list[tuple[int, int]] = []
-            if propagate(best, bit, trail) and search(colored + 1, max(used, color + 1)):
-                return True
+    def frame(used: int) -> list:
+        """[vertex, untried candidate colors, colors used before it, trail]."""
+        v = select()
+        return [v, domains[v] & ((1 << min(k, used + 1)) - 1), used, []]
+
+    stack = [frame(0)]
+    while stack:
+        top = stack[-1]
+        v, candidates, used, trail = top
+        if assignment[v] >= 0:  # undo the candidate tried last
             for w, removed in trail:
                 domains[w] |= removed
-            assignment[best] = -1
-        return False
-
-    try:
-        found = search(0, 0)
-    except _Timeout:
-        return SolveOutcome("timeout", None, nodes, time.perf_counter() - start)
+                heappush(heap, (domains[w].bit_count(), w))
+            trail.clear()
+            assignment[v] = -1
+            heappush(heap, (domains[v].bit_count(), v))
+        if not candidates:
+            stack.pop()
+            continue
+        bit = candidates & -candidates
+        top[1] = candidates ^ bit
+        color = bit.bit_length() - 1
+        nodes += 1
+        if nodes % 256 == 0 and time.perf_counter() - start > budget:
+            return SolveOutcome("timeout", None, nodes, time.perf_counter() - start)
+        assignment[v] = color
+        if propagate(v, bit, trail):
+            if len(stack) == n:
+                break
+            stack.append(frame(max(used, color + 1)))
     elapsed = time.perf_counter() - start
-    if not found:
+    if not stack:
         return SolveOutcome("uncolorable", None, nodes, elapsed)
     witness = Coloring(k, tuple(assignment))
     if not is_proper_coloring(g, witness):

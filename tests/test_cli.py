@@ -80,6 +80,13 @@ def test_verify_missing_vertex_is_usage_error(tmp_path, k3_file):
     assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 2
 
 
+def test_verify_rejects_duplicate_vertex_line(tmp_path, k3_file, capsys):
+    witness = tmp_path / "w.txt"
+    witness.write_text("v 1 0\nv 2 1\nv 3 2\nv 1 1\n")
+    assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_solve_on_reduced_instance(tmp_path, k3_file):
     out = tmp_path / "out.col"
     main(["reduce", "--k", "3", "--input", str(k3_file), "--output", str(out)])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from kcol3 import (
@@ -87,6 +89,15 @@ def test_map_json_round_trip():
     restored = ReductionMap.from_json(rmap.to_json())
     assert restored == rmap
     assert restored.reconstruct_graph() == gprime
+
+
+def test_map_from_json_names_missing_field():
+    with pytest.raises(ValueError, match="gadgets"):
+        ReductionMap.from_json('{"k": 3}')
+    doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
+    del doc["indicator"]
+    with pytest.raises(ValueError, match="indicator"):
+        ReductionMap.from_json(json.dumps(doc))
 
 
 def test_determinism():

@@ -1,3 +1,5 @@
+import hashlib
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +12,7 @@ from kcol3 import (
     decide,
     gen_gnp,
     is_proper_coloring,
+    reduce_to_3col,
     solve,
 )
 
@@ -56,8 +59,6 @@ def test_decide_basics():
 
 
 def test_decide_timeout_is_an_exception_not_a_bool():
-    from kcol3 import reduce_to_3col
-
     big, _ = reduce_to_3col(gen_gnp(12, 0.5, 3), 4)
     with pytest.raises(SolveTimeout):
         decide(big, 3, budget=0.0)
@@ -113,3 +114,65 @@ def test_empty_graph():
 def test_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         solve(complete_graph(2), 0)
+
+
+def mycielskian_of_c7() -> Graph:
+    """Triangle-free and 4-chromatic on 15 vertices: refuting it with three
+    colors takes real backtracking on both G and G'."""
+    m = 7
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [(m + i, (i + 1) % m) for i in range(m)] + [(m + i, (i - 1) % m) for i in range(m)]
+    edges += [(2 * m, m + i) for i in range(m)]
+    return Graph(2 * m + 1, tuple(edges))
+
+
+def witness_digest(outcome) -> str | None:
+    if outcome.witness is None:
+        return None
+    return hashlib.sha256(bytes(outcome.witness.assignment)).hexdigest()[:16]
+
+
+# (status, nodes, sha256 prefix of the witness) for each source graph G and
+# its reduction G' at k=3. Any change to vertex choice, pruning, the pair
+# rule or symmetry breaking changes the search tree and shows up here.
+PINNED_SEARCH_TREES = {
+    "mycielskian(C7)": (mycielskian_of_c7, ("uncolorable", 76, None), ("uncolorable", 10890, None)),
+    "gnp(60,0.05,1)": (
+        lambda: gen_gnp(60, 0.05, 1),
+        ("colorable", 60, "cdef2e8534ca5b0c"),
+        ("colorable", 1455, "e9ed2fab19a9e62d"),
+    ),
+    "gnp(30,0.147,5)": (
+        lambda: gen_gnp(30, 0.147, 5),
+        ("colorable", 30, "9d2080fca4de35ab"),
+        ("colorable", 3702, "82a497532a6ce31a"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCH_TREES))
+def test_pinned_search_trees(name):
+    build, *expected = PINNED_SEARCH_TREES[name]
+    g = build()
+    gprime, _ = reduce_to_3col(g, 3)
+    for graph, pinned in zip((g, gprime), expected):
+        outcome = solve(graph, 3)
+        assert (outcome.status, outcome.nodes, witness_digest(outcome)) == pinned
+
+
+def test_solve_leaves_recursion_limit_alone():
+    gprime, _ = reduce_to_3col(gen_gnp(60, 0.05, 1), 3)
+    assert gprime.n > 1000
+    saved = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        assert solve(gprime, 3).status == "colorable"
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_positive_budget_times_out_at_first_check():
+    gprime, _ = reduce_to_3col(gen_gnp(60, 0.05, 1), 3)
+    outcome = solve(gprime, 3, budget=1e-9)
+    assert (outcome.status, outcome.witness, outcome.nodes) == ("timeout", None, 256)
