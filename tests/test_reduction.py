@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from kcol3 import (
     ReductionMap,
     complete_graph,
     decide,
+    emit_dimacs_col,
     formula_edges,
     formula_vertices,
     gen_gnp,
@@ -194,3 +196,37 @@ def test_k2_chain_degenerates_legally():
     _, rmap = reduce_to_3col(g, 2)
     chains = [inst for tag, inst in rmap.gadget_log if tag.startswith("at-least-one")]
     assert all(inst.internal_len == 2 for inst in chains)
+
+
+@pytest.mark.parametrize(
+    "g, k, col_sha, map_sha, lifted_sha",
+    [
+        (
+            gen_gnp(12, 0.3, 7),
+            4,
+            "9166fa17959b0aa87351f63c8751d01bae3066ffe0e08fabeeadcec1e58b739c",
+            "291a758e4e2122843ec5b1a47f5d36ea4a90d18b637569880b7b322f9abe34c8",
+            "4d2bdda5d6204364286fb12fc6b17e67677554a648cc04cfc5b9b9af66afa009",
+        ),
+        (
+            complete_graph(2),
+            2,
+            "23c0deb4352ff851fe3dd1c5c473b3f06daf37a6d8cd8b894072d576747c1b88",
+            "f2e48ef726d053557bb44df8bedfd9a4d862428072a112dda2383889c5f15132",
+            "89559ad61ea58e5d99345babb8b38b64506aefffe050bc8bc662349fe4e163d7",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(g, k, col_sha, map_sha, lifted_sha):
+    """The .col text, the sidecar and the lifted witness (in the CLI's
+    witness-file format) are byte-stable across refactors."""
+    gprime, rmap = reduce_to_3col(g, k)
+    lifted = lift_witness(g, solve(g, k).witness, rmap)
+    witness = "".join(f"v {v + 1} {c}\n" for v, c in enumerate(lifted.assignment))
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(emit_dimacs_col(gprime)) == col_sha
+    assert sha(rmap.to_json()) == map_sha
+    assert sha(witness) == lifted_sha
