@@ -34,12 +34,6 @@ class GraphBuilder:
         self.n = n
         self.edges: set[tuple[int, int]] = set()
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> "GraphBuilder":
-        b = cls(g.n)
-        b.edges.update(g.edges)
-        return b
-
     def add_vertex(self) -> int:
         v = self.n
         self.n += 1
@@ -60,20 +54,42 @@ class GraphBuilder:
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    """Record of one attached gadget: boundary, fresh internals, new edges."""
+    """One chain gadget: its internals are numbered from `internal_start`,
+    above every boundary vertex, per link as y_i (the last link outputs z
+    instead), a_i, b_i. Everything else is derived from these two fields."""
 
     boundary: tuple[int, ...]  # inputs x_1..x_k, then output z
     internal_start: int
-    internal_len: int
-    added_edges: tuple[tuple[int, int], ...]
+
+    @property
+    def arity(self) -> int:
+        return len(self.boundary) - 1
+
+    @property
+    def internal_len(self) -> int:
+        return 3 * self.arity - 4
 
     @property
     def internal(self) -> range:
         return range(self.internal_start, self.internal_start + self.internal_len)
 
     @property
-    def arity(self) -> int:
-        return len(self.boundary) - 1
+    def added_edges(self) -> tuple[tuple[int, int], ...]:
+        """The 5(arity - 1) edges, link by link. Each link's output is
+        numbered below its a and b, so every pair is already (lower, higher)."""
+        *inputs, z = self.boundary
+        prev, pos = inputs[0], self.internal_start
+        edges = []
+        for i in range(1, len(inputs)):
+            if i == len(inputs) - 1:
+                out = z
+            else:
+                out, pos = pos, pos + 1
+            a, b = pos, pos + 1
+            pos += 2
+            edges += ((prev, a), (inputs[i], b), (a, b), (out, a), (out, b))
+            prev = out
+        return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -94,11 +110,7 @@ def _check_boundary(builder: GraphBuilder, vertices: list[int]):
 
 def attach_base_gadget(builder: GraphBuilder, x: int, y: int, z: int) -> GadgetInstance:
     """Attach the two-input gadget; always +2 vertices, +5 edges."""
-    _check_boundary(builder, [x, y, z])
-    a = builder.add_vertex()
-    b = builder.add_vertex()
-    added = tuple(builder.add_edge(*e) for e in ((x, a), (y, b), (a, b), (a, z), (b, z)))
-    return GadgetInstance((x, y, z), a, 2, added)
+    return attach_chain_gadget(builder, [x, y], z)
 
 
 def attach_chain_gadget(builder: GraphBuilder, inputs: list[int], z: int) -> GadgetInstance:
@@ -112,15 +124,10 @@ def attach_chain_gadget(builder: GraphBuilder, inputs: list[int], z: int) -> Gad
     if k < 2:
         raise ConstructionError(f"chain gadget needs at least 2 inputs, got {k}")
     _check_boundary(builder, list(inputs) + [z])
-    internal_start = builder.n
-    added: list[tuple[int, int]] = []
-    prev = inputs[0]
-    for i in range(1, k):
-        out = z if i == k - 1 else builder.add_vertex()
-        sub = attach_base_gadget(builder, prev, inputs[i], out)
-        added.extend(sub.added_edges)
-        prev = out
-    return GadgetInstance(tuple(inputs) + (z,), internal_start, builder.n - internal_start, tuple(added))
+    instance = GadgetInstance((*inputs, z), builder.n)
+    builder.n += instance.internal_len
+    builder.edges.update(instance.added_edges)
+    return instance
 
 
 def _extension_search(instance: GadgetInstance, boundary_colors: tuple[int, ...]):
@@ -172,8 +179,7 @@ def semantics_by_brute_force(k: int) -> GadgetSemantics:
     k-input chain gadget. Supported for 2 <= k <= 6."""
     if not (2 <= k <= 6):
         raise ValueError(f"arity {k} outside supported range 2..6")
-    builder = GraphBuilder(k + 1)
-    instance = attach_chain_gadget(builder, list(range(k)), k)
+    instance = GadgetInstance(tuple(range(k + 1)), k + 1)
     table = {
         boundary: _extension_search(instance, boundary) is not None
         for boundary in product((0, 1, 2), repeat=k + 1)

@@ -7,7 +7,7 @@ canonical pairs (u, v) with u < v, deduplicated, no self-loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -29,7 +29,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -42,8 +41,6 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             canon.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels must cover every vertex")
 
     @property
     def e(self) -> int:

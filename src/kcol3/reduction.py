@@ -1,27 +1,29 @@
 """Direct reduction from k-colorability to 3-colorability.
 
-Construction, in fixed vertex-numbering order:
+G' is a pure function of (k, n, source edges). Its vertices are numbered
+in this fixed order:
 
 1. a palette triangle T, F, R (vertices 0, 1, 2);
-2. indicator vertices v_ij (row-major over source vertex i, color j),
-   each wired to R so it can only take the T or F color;
+2. indicator vertices v_ij = 3 + ik + j (row-major over source vertex i,
+   color j), each wired to R so it can only take the T or F color;
 3. per source vertex, a chain gadget forcing at least one indicator in
    its row away from F ("at least one color");
 4. per source vertex and color pair, a base gadget into F ("at most one");
 5. per source edge and color, a base gadget into F (no shared color
    across an edge).
 
-The ReductionMap records enough bookkeeping to rebuild the output graph
-and to translate coloring witnesses in both directions.
+Each gadget's internals follow the previous gadget's. A ReductionMap stores
+(k, n, source edges) and derives the layout from them on demand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .errors import InvariantViolation
-from .gadgets import GadgetInstance, GraphBuilder, attach_base_gadget, attach_chain_gadget, extend_coloring
+from .gadgets import GadgetInstance, extend_coloring
 from .graphs import Coloring, Graph, is_proper_coloring
 
 __all__ = [
@@ -35,35 +37,59 @@ __all__ = [
     "formula_edges",
 ]
 
-
 @dataclass(frozen=True)
 class ReductionMap:
-    """Bookkeeping from the reduced graph back to the source graph."""
+    """The reduction of (k, n, edges), where `edges` is a source graph's
+    canonical edge tuple (`Graph.edges`). Every vertex of G' is derived
+    from these three fields."""
 
     k: int
     n: int
-    e: int
-    t_vertex: int
-    f_vertex: int
-    r_vertex: int
-    indicator: tuple[tuple[int, ...], ...]  # [i][j] -> vertex of v_ij
-    gadget_log: tuple[tuple[str, GadgetInstance], ...]
+    edges: tuple[tuple[int, int], ...]
+
+    t_vertex = 0
+    f_vertex = 1
+    r_vertex = 2
 
     @property
-    def total_vertices(self) -> int:
-        return 3 + self.n * self.k + sum(inst.internal_len for _, inst in self.gadget_log)
+    def e(self) -> int:
+        return len(self.edges)
+
+    @property
+    def indicator(self) -> tuple[range, ...]:
+        """[i][j] -> vertex of v_ij."""
+        k = self.k
+        return tuple(range(3 + i * k, 3 + (i + 1) * k) for i in range(self.n))
+
+    @property
+    def gadget_log(self):
+        """Yield (tag, GadgetInstance) for every gadget in construction order."""
+        k, t, f, ind = self.k, self.t_vertex, self.f_vertex, self.indicator
+        pairs = list(combinations(range(k), 2))
+        boundaries = chain(
+            ((f"at-least-one:{i}", (*row, t)) for i, row in enumerate(ind)),
+            ((f"at-most-one:{i}:{j1}:{j2}", (row[j1], row[j2], f)) for i, row in enumerate(ind) for j1, j2 in pairs),
+            ((f"edge-conflict:{u}:{v}:{c}", (ind[u][c], ind[v][c], f)) for u, v in self.edges for c in range(k)),
+        )
+        pos = 3 + self.n * k
+        for tag, boundary in boundaries:
+            inst = GadgetInstance(boundary, pos)
+            yield tag, inst
+            pos += inst.internal_len
 
     def reconstruct_graph(self) -> Graph:
         """Rebuild the reduced graph from the map alone."""
-        edges = [(self.t_vertex, self.f_vertex), (self.t_vertex, self.r_vertex), (self.f_vertex, self.r_vertex)]
-        for row in self.indicator:
-            edges.extend((v, self.r_vertex) for v in row)
+        r = self.r_vertex
+        edges = [(self.t_vertex, self.f_vertex), (self.t_vertex, r), (self.f_vertex, r)]
+        edges.extend((v, r) for row in self.indicator for v in row)
+        end = 3 + self.n * self.k
         for _, inst in self.gadget_log:
             edges.extend(inst.added_edges)
-        return Graph(self.total_vertices, tuple(edges))
+            end = inst.internal.stop
+        return Graph(end, tuple(edges))
 
-    def to_json(self) -> str:
-        doc = {
+    def _document(self) -> dict:
+        return {
             "k": self.k,
             "n": self.n,
             "e": self.e,
@@ -81,59 +107,39 @@ class ReductionMap:
                 for tag, inst in self.gadget_log
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self._document(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
+        """Read (k, n, source edges) from a sidecar, then require the
+        sidecar to equal the one that reduction writes. Any other
+        document raises ValueError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("reduction map must be a JSON object")
         try:
-            log = []
-            for rec in doc["gadgets"]:
-                boundary = tuple(rec["boundary"])
-                # Re-derive the wiring from the deterministic construction.
-                inst = _rebuild_instance(boundary, rec["internal_start"], rec["internal_len"])
-                log.append((rec["tag"], inst))
-            return cls(
-                k=doc["k"],
-                n=doc["n"],
-                e=doc["e"],
-                t_vertex=doc["t"],
-                f_vertex=doc["f"],
-                r_vertex=doc["r"],
-                indicator=tuple(tuple(row) for row in doc["indicator"]),
-                gadget_log=tuple(log),
-            )
+            gadgets, indicator, k, n, e = (doc[name] for name in ("gadgets", "indicator", "k", "n", "e"))
         except KeyError as exc:
             raise ValueError(f"reduction map is missing field {exc.args[0]!r}") from None
-
-
-def _rebuild_instance(boundary: tuple[int, ...], start: int, length: int) -> GadgetInstance:
-    """Reconstruct a gadget's edge list from its boundary and internal range.
-
-    The chain layout is deterministic (y_i, a_i, b_i triples, final a, b),
-    so the edges are a pure function of the recorded indices.
-    """
-    k = len(boundary) - 1
-    inputs, z = boundary[:-1], boundary[-1]
-    if length != 3 * k - 4:
-        raise InvariantViolation(f"gadget internal length {length} inconsistent with arity {k}")
-    edges = []
-    prev = inputs[0]
-    pos = start
-    for i in range(1, k):
-        if i == k - 1:
-            out = z
-        else:
-            out = pos
-            pos += 1
-        a, b = pos, pos + 1
-        pos += 2
-        edges.extend(
-            (u, v) if u < v else (v, u)
-            for u, v in ((prev, a), (inputs[i], b), (a, b), (a, out), (b, out))
-        )
-        prev = out
-    return GadgetInstance(boundary, start, length, tuple(edges))
+        if not (all(type(x) is int for x in (k, n, e)) and isinstance(indicator, list) and isinstance(gadgets, list)):
+            raise ValueError("reduction map needs integer k, n, e and list indicator, gadgets")
+        # Checked before anything is derived, so that the derived map is no
+        # larger than the parsed document.
+        first_edge = n + n * (k * (k - 1) // 2)
+        if k < 2 or n < 0 or e < 0 or len(indicator) != n or len(gadgets) != first_edge + k * e:
+            raise ValueError(f"reduction map lists do not have the lengths k={k}, n={n}, e={e} give")
+        try:  # tags "edge-conflict:u:v:c"; the c = 0 record of each edge
+            edges = tuple((int(u), int(v)) for _, u, v, _ in (rec["tag"].split(":") for rec in gadgets[first_edge::k]))
+        except (TypeError, KeyError, AttributeError, ValueError):
+            raise ValueError("reduction map has a malformed edge-conflict record") from None
+        if Graph(n, edges).edges != edges:
+            raise ValueError("reduction map source edges are not sorted, distinct pairs (u < v)")
+        rmap = cls(k, n, edges)
+        if rmap._document() != doc:
+            raise ValueError(f"reduction map differs from the reduction of its k={k}, n={n} and source edges")
+        return rmap
 
 
 def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
@@ -143,52 +149,37 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
     """
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
-    b = GraphBuilder()
-    t, f, r = b.add_vertex(), b.add_vertex(), b.add_vertex()
-    b.add_edge(t, f)
-    b.add_edge(t, r)
-    b.add_edge(f, r)
-    indicator = []
-    for _ in range(g.n):
-        row = tuple(b.add_vertex() for _ in range(k))
-        for v in row:
-            b.add_edge(v, r)
-        indicator.append(row)
-    log: list[tuple[str, GadgetInstance]] = []
-    for i in range(g.n):
-        inst = attach_chain_gadget(b, list(indicator[i]), t)
-        log.append((f"at-least-one:{i}", inst))
-    for i in range(g.n):
-        for j1 in range(k):
-            for j2 in range(j1 + 1, k):
-                inst = attach_base_gadget(b, indicator[i][j1], indicator[i][j2], f)
-                log.append((f"at-most-one:{i}:{j1}:{j2}", inst))
-    for u, v in g.edges:
-        for c in range(k):
-            inst = attach_base_gadget(b, indicator[u][c], indicator[v][c], f)
-            log.append((f"edge-conflict:{u}:{v}:{c}", inst))
-    rmap = ReductionMap(k, g.n, g.e, t, f, r, tuple(indicator), tuple(log))
-    return b.to_graph(), rmap
+    rmap = ReductionMap(k, g.n, g.edges)
+    gprime = rmap.reconstruct_graph()
+    fv, fe = formula_vertices(g.n, g.e, k), formula_edges(g.n, g.e, k)
+    if (gprime.n, gprime.e) != (fv, fe):
+        raise InvariantViolation(f"constructed sizes ({gprime.n}, {gprime.e}) differ from closed forms ({fv}, {fe})")
+    return gprime, rmap
 
 
 def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
     """Translate a proper k-coloring of g into a proper 3-coloring of the
     reduced graph: T, F, R get colors 0, 1, 2; indicator v_ij copies T's
     color iff c(i) = j, else F's; gadget internals are filled by the
-    deterministic extension search."""
+    deterministic extension search, once per distinct boundary coloring."""
     if c.palette_size != rmap.k:
         raise ValueError(f"witness palette {c.palette_size} does not match reduction k={rmap.k}")
     if not is_proper_coloring(g, c):
         raise ValueError("input coloring is not a proper coloring of the source graph")
-    assign = [-1] * rmap.total_vertices
+    assign = [-1] * formula_vertices(rmap.n, rmap.e, rmap.k)
     assign[rmap.t_vertex], assign[rmap.f_vertex], assign[rmap.r_vertex] = 0, 1, 2
     for i, row in enumerate(rmap.indicator):
         for j, v in enumerate(row):
             assign[v] = 0 if c[i] == j else 1
+    # An extension depends only on the arity and the boundary colors,
+    # both of which the key holds.
+    extensions: dict[tuple[int, ...], tuple[int, ...]] = {}
     for _, inst in rmap.gadget_log:
         boundary_colors = tuple(assign[v] for v in inst.boundary)
-        for v, col in extend_coloring(inst, boundary_colors).items():
-            assign[v] = col
+        fill = extensions.get(boundary_colors)
+        if fill is None:
+            fill = extensions[boundary_colors] = tuple(extend_coloring(inst, boundary_colors).values())
+        assign[inst.internal_start : inst.internal_start + len(fill)] = fill
     lifted = Coloring(3, tuple(assign))
     if not is_proper_coloring(rmap.reconstruct_graph(), lifted):
         raise InvariantViolation("lifted coloring is not proper; construction bug")
@@ -250,26 +241,25 @@ class SizeReport:
 
 
 def size_report(g: Graph, k: int) -> SizeReport:
-    gprime, _ = reduce_to_3col(g, k)
+    """Sizes of the reduction of (g, k), from the closed forms alone;
+    `reduce_to_3col` checks them against every G' it builds."""
+    if k < 2:
+        raise ValueError(f"palette size must be at least 2, got {k}")
     n, e = g.n, g.e
     fv = formula_vertices(n, e, k)
     fe = formula_edges(n, e, k)
-    if (gprime.n, gprime.e) != (fv, fe):
-        raise InvariantViolation(
-            f"constructed sizes ({gprime.n}, {gprime.e}) differ from closed forms ({fv}, {fe})"
-        )
     bound_v = 2 * k * k * n + 2 * k * e
     bound_e = 3 * k * k * n + 2 * k * e
     return SizeReport(
         n=n,
         e=e,
         k=k,
-        vertices=gprime.n,
-        edges=gprime.e,
+        vertices=fv,
+        edges=fe,
         formula_vertices=fv,
         formula_edges=fe,
         crude_bound_vertices=bound_v,
         crude_bound_edges=bound_e,
-        vertex_bound_holds=gprime.n <= bound_v,
-        edge_bound_holds=gprime.e <= bound_e,
+        vertex_bound_holds=fv <= bound_v,
+        edge_bound_holds=fe <= bound_e,
     )

@@ -102,6 +102,30 @@ def test_map_from_json_names_missing_field():
         ReductionMap.from_json(json.dumps(doc))
 
 
+
+def _edited_sidecar(edit):
+    doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        _edited_sidecar(lambda doc: doc.update(indicator=5)),
+        _edited_sidecar(lambda doc: doc["gadgets"][0].update(internal_len=3)),
+        _edited_sidecar(lambda doc: doc.update(k=4)),
+        _edited_sidecar(lambda doc: doc.update(n=10**12)),
+        _edited_sidecar(lambda doc: doc.update(k=10**9)),
+        _edited_sidecar(lambda doc: doc["gadgets"][-3].update(tag="edge-conflict:1:9:0")),
+    ],
+    ids=["array", "indicator-int", "internal-len", "k", "huge-n", "huge-k", "edge-tag"],
+)
+def test_map_from_json_rejects_malformed_sidecar(text):
+    with pytest.raises(ValueError):
+        ReductionMap.from_json(text)
+
 def test_determinism():
     g = gen_gnp(5, 0.5, 4)
     a, amap = reduce_to_3col(g, 3)
