@@ -37,6 +37,7 @@ __all__ = [
     "formula_edges",
 ]
 
+
 @dataclass(frozen=True)
 class ReductionMap:
     """The reduction of (k, n, edges), where `edges` is a source graph's
@@ -82,7 +83,7 @@ class ReductionMap:
         r = self.r_vertex
         edges = [(self.t_vertex, self.f_vertex), (self.t_vertex, r), (self.f_vertex, r)]
         edges.extend((v, r) for row in self.indicator for v in row)
-        end = 3 + self.n * self.k
+        end = 3 + self.n * self.k  # the layout's own vertex count; reduce_to_3col checks it
         for _, inst in self.gadget_log:
             edges.extend(inst.added_edges)
             end = inst.internal.stop

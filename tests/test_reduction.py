@@ -102,7 +102,6 @@ def test_map_from_json_names_missing_field():
         ReductionMap.from_json(json.dumps(doc))
 
 
-
 def _edited_sidecar(edit):
     doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
     edit(doc)
@@ -125,6 +124,7 @@ def _edited_sidecar(edit):
 def test_map_from_json_rejects_malformed_sidecar(text):
     with pytest.raises(ValueError):
         ReductionMap.from_json(text)
+
 
 def test_determinism():
     g = gen_gnp(5, 0.5, 4)
