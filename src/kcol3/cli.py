@@ -2,8 +2,9 @@
 
 Script-first design: decisions are communicated through exit codes
 (0 success / decision-true, 1 decision-false, 2 usage or parse error,
-3 timeout, 4 internal invariant violation); human-readable detail goes
-to stdout, diagnostics to stderr.
+3 timeout, 4 internal error: a violated invariant or any other exception
+nothing else catches); human-readable detail goes to stdout, diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConstructionError, ExtensionError, InvariantViolation, ParseError, SolveTimeout
+from .errors import ConstructionError, ParseError, SolveTimeout
 from .graphs import Coloring, Graph, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
 from .reduction import lift_witness, project_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
@@ -216,7 +217,7 @@ def main(argv=None) -> int:
     except SolveTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (InvariantViolation, ExtensionError) as exc:
+    except Exception as exc:  # InvariantViolation, ExtensionError or a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -132,7 +132,8 @@ def attach_chain_gadget(builder: GraphBuilder, inputs: list[int], z: int) -> Gad
 
 def _extension_search(instance: GadgetInstance, boundary_colors: tuple[int, ...]):
     """Deterministic backtracking over internal vertices in allocation
-    order, lowest color first. Returns {vertex: color} or None."""
+    order, lowest color first, on an explicit position counter so a long
+    chain needs no recursion. Returns {vertex: color} or None."""
     if len(boundary_colors) != len(instance.boundary):
         raise ValueError("boundary coloring arity mismatch")
     if any(c not in (0, 1, 2) for c in boundary_colors):
@@ -146,21 +147,22 @@ def _extension_search(instance: GadgetInstance, boundary_colors: tuple[int, ...]
         if v in neighbors:
             neighbors[v].append(u)
 
-    def bt(i: int) -> bool:
-        if i == len(order):
-            return True
+    tried = [-1] * len(order)  # color at each position, -1 before the first try
+    i = 0
+    while i < len(order):
         v = order[i]
-        for c in (0, 1, 2):
-            if any(colors.get(w) == c for w in neighbors[v]):
-                continue
-            colors[v] = c
-            if bt(i + 1):
-                return True
-            del colors[v]
-        return False
-
-    if not bt(0):
-        return None
+        colors.pop(v, None)
+        c = tried[i] + 1
+        while c < 3 and any(colors.get(w) == c for w in neighbors[v]):
+            c += 1
+        if c < 3:
+            colors[v] = tried[i] = c
+            i += 1
+        elif i == 0:
+            return None
+        else:
+            tried[i] = -1
+            i -= 1
     return {v: colors[v] for v in order}
 
 

@@ -153,3 +153,12 @@ def test_solve_odd_cycle(tmp_path):
     path.write_text(emit_dimacs_col(cycle_graph(5)))
     assert main(["solve", "--k", "2", "--input", str(path)]) == 1
     assert main(["solve", "--k", "3", "--input", str(path)]) == 0
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, k3_file, capsys):
+    def broken_solve(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("kcol3.cli.solve", broken_solve)
+    assert main(["solve", "--k", "3", "--input", str(k3_file)]) == 4
+    assert "internal error: boom" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from kcol3 import (
     ConstructionError,
     ExtensionError,
+    GadgetInstance,
     GraphBuilder,
     attach_base_gadget,
     attach_chain_gadget,
@@ -139,3 +141,18 @@ def test_extend_matches_semantics_and_is_proper(k):
         colors = dict(zip(inst.boundary, boundary))
         colors.update(ext)
         assert all(colors[u] != colors[v] for u, v in inst.added_edges)
+
+
+def test_extension_of_a_long_chain_needs_no_recursion():
+    arity = 400
+    inst = GadgetInstance(tuple(range(arity + 1)), arity + 1)
+    saved = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        ext = extend_coloring(inst, (0,) * (arity + 1))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert sorted(ext) == list(inst.internal)
+    colors = dict.fromkeys(inst.boundary, 0)
+    colors.update(ext)
+    assert all(colors[u] != colors[v] for u, v in inst.added_edges)

@@ -134,9 +134,10 @@ def witness_digest(outcome) -> str | None:
 
 # (status, nodes, sha256 prefix of the witness) for each source graph G and
 # its reduction G' at k=3. Any change to vertex choice, pruning, the pair
-# rule or symmetry breaking changes the search tree and shows up here.
+# rule, the order of forced colorings, backjumping or symmetry breaking
+# changes the search tree and shows up here.
 PINNED_SEARCH_TREES = {
-    "mycielskian(C7)": (mycielskian_of_c7, ("uncolorable", 76, None), ("uncolorable", 10890, None)),
+    "mycielskian(C7)": (mycielskian_of_c7, ("uncolorable", 82, None), ("uncolorable", 6432, None)),
     "gnp(60,0.05,1)": (
         lambda: gen_gnp(60, 0.05, 1),
         ("colorable", 60, "cdef2e8534ca5b0c"),
@@ -145,7 +146,7 @@ PINNED_SEARCH_TREES = {
     "gnp(30,0.147,5)": (
         lambda: gen_gnp(30, 0.147, 5),
         ("colorable", 30, "9d2080fca4de35ab"),
-        ("colorable", 3702, "82a497532a6ce31a"),
+        ("colorable", 1892, "82a497532a6ce31a"),
     ),
 }
 
@@ -176,3 +177,36 @@ def test_positive_budget_times_out_at_first_check():
     gprime, _ = reduce_to_3col(gen_gnp(60, 0.05, 1), 3)
     outcome = solve(gprime, 3, budget=1e-9)
     assert (outcome.status, outcome.witness, outcome.nodes) == ("timeout", None, 256)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCH_TREES))
+def test_counters_account_for_every_node(name):
+    g = PINNED_SEARCH_TREES[name][0]()
+    for graph in (g, reduce_to_3col(g, 3)[0]):
+        outcome = solve(graph, 3)
+        c = outcome.counters
+        assert outcome.nodes == c.decisions + c.forced
+        assert 1 <= c.max_depth <= c.decisions
+
+
+def test_counters_with_one_color_are_all_forced():
+    outcome = solve(Graph(4, ()), 1)
+    assert outcome.status == "colorable"
+    assert (outcome.nodes, outcome.counters.forced, outcome.counters.decisions) == (4, 4, 0)
+
+
+def test_backjumping_decides_generator_order_reduction():
+    # Chronological backtracking times out on this G' (k=3) after about
+    # half a million nodes; backjumping skips the dead subtrees.
+    gprime, _ = reduce_to_3col(gen_gnp(250, 0.0095, 1002), 3)
+    outcome = solve(gprime, 3)
+    assert outcome.status == "colorable"
+    assert is_proper_coloring(gprime, outcome.witness)
+    assert outcome.counters.backjumps >= 1
+
+
+def test_agreement_on_dense_n8_draws():
+    # Most of these need real backtracking, which exercises the conflict sets.
+    for seed in range(40):
+        g = gen_gnp(8, 0.5 + 0.05 * (seed % 5), seed)
+        assert decide(g, 3) == brute_force_colorable(g, 3), seed
