@@ -218,7 +218,7 @@ def main(argv=None) -> int:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except Exception as exc:  # InvariantViolation, ExtensionError or a bug
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

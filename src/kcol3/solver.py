@@ -52,7 +52,7 @@ _FIXPOINT, _OUT_OF_TIME = -1, -2  # propagate's results besides a wiped-out vert
 class SolveCounters(NamedTuple):
     """What one search did. Every coloring is a decision or forced, so
     `decisions + forced` equals `SolveOutcome.nodes`. (A NamedTuple: a
-    frozen dataclass would add about 1.5 ms to importing the package.)"""
+    frozen dataclass would add about 1.3 ms to importing the package.)"""
 
     decisions: int = 0  # colors tried at a frame
     forced: int = 0  # vertices colored by propagation
@@ -127,6 +127,9 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         pairs: list[int] = []
         while pending:
             v = pending.pop()
+            # A forced vertex needs no symmetry check: domains are symmetric
+            # in the colors no vertex has yet, so one of those is forced only
+            # when it is the last one.
             if assignment[v] < 0:  # forced: one color left
                 assignment[v] = domains[v].bit_length() - 1
                 trail.append(~v)

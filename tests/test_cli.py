@@ -161,4 +161,4 @@ def test_unexpected_exception_is_internal_error(monkeypatch, k3_file, capsys):
 
     monkeypatch.setattr("kcol3.cli.solve", broken_solve)
     assert main(["solve", "--k", "3", "--input", str(k3_file)]) == 4
-    assert "internal error: boom" in capsys.readouterr().err
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
