@@ -51,6 +51,6 @@ from .sat_route import (
     encode_col_as_cnf,
     parse_dimacs_cnf,
 )
-from .solver import DEFAULT_BUDGET, SolveOutcome, decide, solve
+from .solver import DEFAULT_BUDGET, SolveCounters, SolveOutcome, decide, solve
 
 __version__ = "0.1.0"
