@@ -16,7 +16,6 @@ from .gadgets import (
     GadgetInstance,
     GadgetSemantics,
     GraphBuilder,
-    attach_base_gadget,
     attach_chain_gadget,
     extend_coloring,
     semantics_by_brute_force,

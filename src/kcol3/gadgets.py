@@ -20,7 +20,6 @@ __all__ = [
     "GraphBuilder",
     "GadgetInstance",
     "GadgetSemantics",
-    "attach_base_gadget",
     "attach_chain_gadget",
     "semantics_by_brute_force",
     "extend_coloring",
@@ -106,11 +105,6 @@ def _check_boundary(builder: GraphBuilder, vertices: list[int]):
             raise ConstructionError(f"boundary vertex {v} does not exist")
     if len(set(vertices)) != len(vertices):
         raise ConstructionError(f"boundary vertices must be distinct, got {vertices}")
-
-
-def attach_base_gadget(builder: GraphBuilder, x: int, y: int, z: int) -> GadgetInstance:
-    """Attach the two-input gadget; always +2 vertices, +5 edges."""
-    return attach_chain_gadget(builder, [x, y], z)
 
 
 def attach_chain_gadget(builder: GraphBuilder, inputs: list[int], z: int) -> GadgetInstance:

@@ -91,13 +91,13 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
     """Parse DIMACS .col text into a canonical Graph.
 
     Accepts `c` comment lines, exactly one `p edge <n> <e>` line, and
-    `e <u> <v>` lines with 1-indexed endpoints. Duplicate edges are
-    collapsed; self-loops are rejected.
+    `e <u> <v>` lines with 1-indexed endpoints. Self-loops are rejected.
+    A repeated edge, either way round, collapses, and `e` counts it once.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
     n = None
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -109,8 +109,7 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"malformed problem line {line!r}", lineno)
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, declared_e, p_lineno = int(parts[2]), int(parts[3]), lineno
             except ValueError:
                 raise ParseError(f"non-integer counts in {line!r}", lineno) from None
             if n < 0:
@@ -128,13 +127,15 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
                 raise ParseError(f"endpoint out of range 1..{n} in {line!r}", lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
-            u, v = u - 1, v - 1
-            edges.add((u, v) if u < v else (v, u))
+            edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing p line", 1)
-    return Graph(n, tuple(edges))
+    g = Graph(n, tuple(edges))
+    if g.e != declared_e:
+        raise ParseError(f"p line declares {declared_e} edges, file has {g.e} distinct edges", p_lineno)
+    return g
 
 
 def emit_dimacs_col(g: Graph) -> str:

@@ -78,16 +78,20 @@ class ReductionMap:
             yield tag, inst
             pos += inst.internal_len
 
-    def reconstruct_graph(self) -> Graph:
-        """Rebuild the reduced graph from the map alone."""
-        r = self.r_vertex
-        edges = [(self.t_vertex, self.f_vertex), (self.t_vertex, r), (self.f_vertex, r)]
-        edges.extend((v, r) for row in self.indicator for v in row)
-        end = 3 + self.n * self.k  # the layout's own vertex count; reduce_to_3col checks it
+    def _gprime_edges(self):
+        """Yield the edges of G': palette triangle, indicators to R, gadget wiring."""
+        t, f, r = self.t_vertex, self.f_vertex, self.r_vertex
+        yield from ((t, f), (t, r), (f, r))
+        yield from ((v, r) for row in self.indicator for v in row)
         for _, inst in self.gadget_log:
-            edges.extend(inst.added_edges)
-            end = inst.internal.stop
-        return Graph(end, tuple(edges))
+            yield from inst.added_edges
+
+    def reconstruct_graph(self) -> Graph:
+        """Rebuild the reduced graph from the map alone. Every vertex of G'
+        has an edge, so the largest endpoint + 1 is the layout's own vertex
+        count, which reduce_to_3col checks against the closed form."""
+        edges = tuple(self._gprime_edges())
+        return Graph(max(chain.from_iterable(edges)) + 1, edges)
 
     def _document(self) -> dict:
         return {
@@ -158,6 +162,14 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
     return gprime, rmap
 
 
+def _is_proper_on_gprime(rmap: ReductionMap, c: Coloring) -> bool:
+    """`is_proper_coloring` on G', run over the map's edge stream, not a built Graph."""
+    a, n = c.assignment, formula_vertices(rmap.n, rmap.e, rmap.k)
+    if len(a) != n:
+        raise ValueError(f"coloring covers {len(a)} vertices, reduced graph has {n}")
+    return all(a[u] != a[v] for u, v in rmap._gprime_edges())
+
+
 def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
     """Translate a proper k-coloring of g into a proper 3-coloring of the
     reduced graph: T, F, R get colors 0, 1, 2; indicator v_ij copies T's
@@ -182,7 +194,7 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
             fill = extensions[boundary_colors] = tuple(extend_coloring(inst, boundary_colors).values())
         assign[inst.internal_start : inst.internal_start + len(fill)] = fill
     lifted = Coloring(3, tuple(assign))
-    if not is_proper_coloring(rmap.reconstruct_graph(), lifted):
+    if not _is_proper_on_gprime(rmap, lifted):
         raise InvariantViolation("lifted coloring is not proper; construction bug")
     return lifted
 
@@ -193,7 +205,7 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
     color."""
     if c3.palette_size != 3:
         raise ValueError("projection expects a 3-color witness")
-    if not is_proper_coloring(rmap.reconstruct_graph(), c3):
+    if not _is_proper_on_gprime(rmap, c3):
         raise ValueError("input is not a proper 3-coloring of the reduced graph")
     t_color = c3[rmap.t_vertex]
     assign = []
@@ -220,7 +232,7 @@ def formula_edges(n: int, e: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Exact output sizes vs the closed forms and the crude upper bounds
+    """Exact output sizes (the closed forms) vs the crude upper bounds
     2k^2 n + 2ke (vertices) and 3k^2 n + 2ke (edges).
 
     The crude bounds do not hold on every instance (the edge bound fails
@@ -233,8 +245,6 @@ class SizeReport:
     k: int
     vertices: int
     edges: int
-    formula_vertices: int
-    formula_edges: int
     crude_bound_vertices: int
     crude_bound_edges: int
     vertex_bound_holds: bool
@@ -257,8 +267,6 @@ def size_report(g: Graph, k: int) -> SizeReport:
         k=k,
         vertices=fv,
         edges=fe,
-        formula_vertices=fv,
-        formula_edges=fe,
         crude_bound_vertices=bound_v,
         crude_bound_edges=bound_e,
         vertex_bound_holds=fv <= bound_v,

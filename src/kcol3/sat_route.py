@@ -134,7 +134,7 @@ def emit_dimacs_cnf(f: CnfFormula) -> str:
 
 def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF; clauses are 0-terminated integer runs and may
-    span lines."""
+    span lines. The `p cnf <v> <c>` line's c must equal the clause count."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
     var_count = None
@@ -151,8 +151,7 @@ def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"malformed problem line {line!r}", lineno)
             try:
-                var_count = int(parts[2])
-                int(parts[3])
+                var_count, declared_c, p_lineno = int(parts[2]), int(parts[3]), lineno
             except ValueError:
                 raise ParseError(f"non-integer counts in {line!r}", lineno) from None
             continue
@@ -176,6 +175,8 @@ def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
         raise ParseError("missing p line", 1)
     if current:
         raise ParseError("unterminated clause at end of input", lineno)
+    if len(clauses) != declared_c:
+        raise ParseError(f"p line declares {declared_c} clauses, file has {len(clauses)}", p_lineno)
     return CnfFormula(var_count, tuple(clauses))
 
 

@@ -57,6 +57,13 @@ def test_reduce_malformed_input(tmp_path):
     assert rc == 2
 
 
+def test_solve_rejects_wrong_declared_edge_count(tmp_path, capsys):
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 3 7\ne 1 2\n")
+    assert main(["solve", "--k", "3", "--input", str(bad)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_solve_exit_codes(tmp_path, k4_file):
     assert main(["solve", "--k", "3", "--input", str(k4_file)]) == 1
     assert main(["solve", "--k", "4", "--input", str(k4_file)]) == 0

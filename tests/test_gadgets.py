@@ -8,7 +8,6 @@ from kcol3 import (
     ExtensionError,
     GadgetInstance,
     GraphBuilder,
-    attach_base_gadget,
     attach_chain_gadget,
     extend_coloring,
     semantics_by_brute_force,
@@ -25,7 +24,7 @@ def boundary_characterization(boundary):
 
 def test_base_gadget_wiring():
     b = GraphBuilder(3)
-    inst = attach_base_gadget(b, 0, 1, 2)
+    inst = attach_chain_gadget(b, [0, 1], 2)
     assert list(inst.internal) == [3, 4]
     assert set(inst.added_edges) == {(0, 3), (1, 4), (3, 4), (2, 3), (2, 4)}
 
@@ -33,20 +32,20 @@ def test_base_gadget_wiring():
 def test_base_gadget_deltas():
     b = GraphBuilder(5)
     before_n, before_e = b.n, len(b.edges)
-    attach_base_gadget(b, 1, 3, 4)
+    attach_chain_gadget(b, [1, 3], 4)
     assert (b.n - before_n, len(b.edges) - before_e) == (2, 5)
 
 
 def test_base_gadget_rejects_repeated_boundary():
     b = GraphBuilder(3)
     with pytest.raises(ConstructionError):
-        attach_base_gadget(b, 0, 0, 2)
+        attach_chain_gadget(b, [0, 0], 2)
 
 
 def test_base_gadget_rejects_missing_vertex():
     b = GraphBuilder(2)
     with pytest.raises(ConstructionError):
-        attach_base_gadget(b, 0, 1, 5)
+        attach_chain_gadget(b, [0, 1], 5)
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -58,15 +57,6 @@ def test_chain_gadget_deltas(k):
     # within the crude 3k / 5k allowances
     assert inst.internal_len <= 3 * k
     assert len(inst.added_edges) <= 5 * k
-
-
-def test_chain_gadget_k2_is_base_gadget():
-    b1 = GraphBuilder(3)
-    chain = attach_chain_gadget(b1, [0, 1], 2)
-    b2 = GraphBuilder(3)
-    base = attach_base_gadget(b2, 0, 1, 2)
-    assert chain.added_edges == base.added_edges
-    assert chain.internal_len == base.internal_len == 2
 
 
 def test_chain_gadget_rejects_arity_one():
@@ -106,7 +96,7 @@ def test_semantics_rejects_out_of_range():
 
 def test_extend_base_gadget_forced_case():
     b = GraphBuilder(3)
-    inst = attach_base_gadget(b, 0, 1, 2)
+    inst = attach_chain_gadget(b, [0, 1], 2)
     ext = extend_coloring(inst, (0, 0, 0))
     a, bb = inst.internal
     assert {ext[a], ext[bb]} == {1, 2}
@@ -116,14 +106,14 @@ def test_extend_base_gadget_forced_case():
 
 def test_extend_raises_on_non_extendable():
     b = GraphBuilder(3)
-    inst = attach_base_gadget(b, 0, 1, 2)
+    inst = attach_chain_gadget(b, [0, 1], 2)
     with pytest.raises(ExtensionError):
         extend_coloring(inst, (0, 0, 1))
 
 
 def test_extend_is_deterministic():
     b = GraphBuilder(3)
-    inst = attach_base_gadget(b, 0, 1, 2)
+    inst = attach_chain_gadget(b, [0, 1], 2)
     assert extend_coloring(inst, (0, 1, 2)) == extend_coloring(inst, (0, 1, 2))
 
 

@@ -60,6 +60,8 @@ def test_parse_triangle():
 def test_parse_dedups_reversed_edges():
     g = parse_dimacs_col("p edge 2 1\ne 1 2\ne 2 1\n")
     assert g.n == 2 and g.e == 1
+    g = parse_dimacs_col("p edge 4 3\ne 3 1\ne 2 1\ne 1 3\ne 4 2\ne 1 2\ne 2 4\ne 3 1\n")
+    assert g.edges == ((0, 1), (0, 2), (1, 3))
 
 
 @pytest.mark.parametrize(
@@ -77,6 +79,13 @@ def test_parse_dedups_reversed_edges():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_dimacs_col(text)
+
+
+@pytest.mark.parametrize("declared", [0, 2, 7])
+def test_parse_rejects_wrong_declared_edge_count(declared):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs_col(f"c comment\np edge 3 {declared}\ne 1 2\n")
+    assert exc.value.line == 2
 
 
 def test_parse_error_carries_line_number():

@@ -195,6 +195,30 @@ def test_project_rejects_improper_input():
         project_witness(rmap, Coloring(3, (0,) * gprime.n))
 
 
+@pytest.mark.parametrize("extra", [(0,), ()])
+def test_project_rejects_witness_of_wrong_length(extra):
+    g = complete_graph(3)
+    _, rmap = reduce_to_3col(g, 3)
+    lifted = lift_witness(g, Coloring(3, (0, 1, 2)), rmap).assignment
+    witness = lifted + extra if extra else lifted[:-1]
+    with pytest.raises(ValueError):
+        project_witness(rmap, Coloring(3, witness), g)
+
+
+def test_lift_and_project_build_no_graph(monkeypatch):
+    g = gen_gnp(12, 0.3, 7)
+    _, rmap = reduce_to_3col(g, 4)
+    source = solve(g, 4).witness
+
+    def no_graph(*args):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(ReductionMap, "reconstruct_graph", no_graph)
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    lifted = lift_witness(g, source, rmap)
+    assert project_witness(rmap, lifted, g) == source
+
+
 def test_project_lift_round_trip():
     for seed in range(8):
         g = gen_gnp(5, 0.4, seed)

@@ -147,6 +147,13 @@ def test_cnf_parse_errors(text):
         parse_dimacs_cnf(text)
 
 
+@pytest.mark.parametrize("declared", [0, 2, 5])
+def test_cnf_parse_rejects_wrong_declared_clause_count(declared):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs_cnf(f"c comment\np cnf 2 {declared}\n1 -2 0\n")
+    assert exc.value.line == 2
+
+
 def test_brute_force_guardrail():
     with pytest.raises(ValueError):
         cnf_satisfiable_brute_force(CnfFormula(30, ((1,),)))
