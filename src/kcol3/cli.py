@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConstructionError, ParseError, SolveTimeout
-from .graphs import Coloring, Graph, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
+from .graphs import Coloring, Graph, _numbered_lines, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
 from .reduction import lift_witness, project_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import solve
@@ -27,7 +27,7 @@ EXIT_INVARIANT = 4
 
 
 def _read_graph(path: str) -> Graph:
-    return parse_dimacs_col(Path(path).read_text())
+    return parse_dimacs_col(Path(path).read_bytes())
 
 
 def _write_witness(path: str, c: Coloring):
@@ -37,7 +37,7 @@ def _write_witness(path: str, c: Coloring):
 
 def _read_witness(path: str, n: int, k: int) -> Coloring:
     assignment: dict[int, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in _numbered_lines(Path(path).read_bytes()):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -74,21 +74,30 @@ class GadgetInstance:
 
     @property
     def added_edges(self) -> tuple[tuple[int, int], ...]:
-        """The 5(arity - 1) edges, link by link. Each link's output is
-        numbered below its a and b, so every pair is already (lower, higher)."""
-        *inputs, z = self.boundary
-        prev, pos = inputs[0], self.internal_start
-        edges = []
-        for i in range(1, len(inputs)):
-            if i == len(inputs) - 1:
-                out = z
-            else:
-                out, pos = pos, pos + 1
-            a, b = pos, pos + 1
-            pos += 2
-            edges += ((prev, a), (inputs[i], b), (a, b), (out, a), (out, b))
-            prev = out
-        return tuple(edges)
+        """The 5(arity - 1) edges, link by link, each pair (lower, higher)."""
+        return tuple(zip(*_link_columns(_chain_links(self.boundary, self.internal_start))))
+
+
+def _chain_links(boundary, start: int):
+    """(previous output, input, output, a) for each link of the chain
+    gadget on `boundary` whose internals start at `start`; the link's b is
+    a + 1. Every link but the last outputs a fresh y numbered just below
+    its a and b, so every edge `_link_columns` makes is (lower, higher)."""
+    if len(boundary) == 3:  # the base gadget, most of G': one link, built without ranges
+        return ((*boundary, start),)
+    ys = range(start, start + 3 * len(boundary) - 9, 3)
+    return zip((boundary[0], *ys), boundary[1:-1], (*ys, boundary[-1]), (*range(start + 1, ys.stop, 3), ys.stop))
+
+
+def _link_columns(links) -> tuple[list[int], list[int]]:
+    """Endpoint columns of the five edges (prev, a), (input, b), (a, b),
+    (output, a), (output, b) of every link, link by link."""
+    prev, inputs, out, a = tuple(zip(*links)) or ((),) * 4
+    b = [v + 1 for v in a]
+    us, vs = [0] * (5 * len(a)), [0] * (5 * len(a))
+    us[0::5], us[1::5], us[2::5], us[3::5], us[4::5] = prev, inputs, a, out, out
+    vs[0::5], vs[1::5], vs[2::5], vs[3::5], vs[4::5] = a, b, b, a, b
+    return us, vs
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ canonical pairs (u, v) with u < v, deduplicated, no self-loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
+from operator import itemgetter, lt
 
 from .errors import ParseError
 
@@ -33,6 +35,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
+        if _is_canonical(self.edges, self.n):
+            return
         canon = set()
         for u, v in self.edges:
             if u == v:
@@ -55,6 +59,22 @@ class Graph:
         for row in adj:
             row.sort()
         return adj
+
+
+def _is_canonical(edges, n: int) -> bool:
+    """True when C-level passes show that `edges` is a tuple the loop in
+    `Graph.__post_init__` would return unchanged."""
+    try:  # an edge a pass cannot compare is left to the loop
+        return (
+            type(edges) is tuple
+            and set(map(type, edges)) == {tuple}
+            and all(starmap(lt, edges))
+            and edges[0][0] >= 0
+            and all(map(lt, edges, edges[1:]))
+            and max(map(itemgetter(1), edges)) < n
+        )
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -87,6 +107,18 @@ def is_proper_coloring(g: Graph, c: Coloring) -> bool:
     return all(a[u] != a[v] for u, v in g.edges)
 
 
+def _numbered_lines(text: str | bytes):
+    """Enumerate the lines of a DIMACS-style text from 1. The format is
+    ASCII: a non-ASCII character, which `int` may read as a digit, is a
+    ParseError on its line."""
+    text = text.decode("latin-1") if isinstance(text, bytes) else text  # no byte fails to decode as latin-1
+    if not text.isascii():
+        culprit = next(i for i, ch in enumerate(text) if not ch.isascii())
+        # With "x" standing in for the culprit, its line is the text's last line.
+        raise ParseError("non-ASCII character", len((text[:culprit] + "x").splitlines()))
+    return enumerate(text.splitlines(), start=1)
+
+
 def parse_dimacs_col(text: str | bytes) -> Graph:
     """Parse DIMACS .col text into a canonical Graph.
 
@@ -94,11 +126,9 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
     `e <u> <v>` lines with 1-indexed endpoints. Self-loops are rejected.
     A repeated edge, either way round, collapses, and `e` counts it once.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     n = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

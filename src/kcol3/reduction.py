@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat, starmap
+from operator import ne
 
 from .errors import InvariantViolation
-from .gadgets import GadgetInstance, extend_coloring
+from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
 from .graphs import Coloring, Graph, is_proper_coloring
 
 __all__ = [
@@ -36,6 +37,13 @@ __all__ = [
     "formula_vertices",
     "formula_edges",
 ]
+
+
+# One gadget record of the sidecar, as `json.dumps(..., indent=2)` lays it out.
+_GADGET_RECORD = (
+    '    {\n      "tag": "%s",\n      "boundary": [\n        %s\n      ],\n'
+    '      "internal_start": %d,\n      "internal_len": %d\n    }'
+)
 
 
 @dataclass(frozen=True)
@@ -62,38 +70,47 @@ class ReductionMap:
         k = self.k
         return tuple(range(3 + i * k, 3 + (i + 1) * k) for i in range(self.n))
 
+    def _boundaries(self):
+        """Yield (boundary, internal_start) for every gadget in construction order."""
+        k, t, f, ind = self.k, self.t_vertex, self.f_vertex, self.indicator
+        pairs = list(combinations(range(k), 2))
+        pos = 3 + self.n * k
+        for boundary in chain(
+            ((*row, t) for row in ind),
+            ((row[j1], row[j2], f) for row in ind for j1, j2 in pairs),
+            ((ind[u][c], ind[v][c], f) for u, v in self.edges for c in range(k)),
+        ):
+            yield boundary, pos
+            pos += 3 * len(boundary) - 7
+
+    def _tags(self):
+        """The sidecar tag of every gadget, in the order of `_boundaries`."""
+        pairs = list(combinations(range(self.k), 2))
+        return chain(
+            (f"at-least-one:{i}" for i in range(self.n)),
+            (f"at-most-one:{i}:{j1}:{j2}" for i in range(self.n) for j1, j2 in pairs),
+            (f"edge-conflict:{u}:{v}:{c}" for u, v in self.edges for c in range(self.k)),
+        )
+
     @property
     def gadget_log(self):
         """Yield (tag, GadgetInstance) for every gadget in construction order."""
-        k, t, f, ind = self.k, self.t_vertex, self.f_vertex, self.indicator
-        pairs = list(combinations(range(k), 2))
-        boundaries = chain(
-            ((f"at-least-one:{i}", (*row, t)) for i, row in enumerate(ind)),
-            ((f"at-most-one:{i}:{j1}:{j2}", (row[j1], row[j2], f)) for i, row in enumerate(ind) for j1, j2 in pairs),
-            ((f"edge-conflict:{u}:{v}:{c}", (ind[u][c], ind[v][c], f)) for u, v in self.edges for c in range(k)),
-        )
-        pos = 3 + self.n * k
-        for tag, boundary in boundaries:
-            inst = GadgetInstance(boundary, pos)
-            yield tag, inst
-            pos += inst.internal_len
+        return ((tag, GadgetInstance(*gadget)) for tag, gadget in zip(self._tags(), self._boundaries()))
 
-    def _gprime_edges(self):
-        """Yield the edges of G': palette triangle, indicators to R, gadget wiring."""
-        t, f, r = self.t_vertex, self.f_vertex, self.r_vertex
-        yield from ((t, f), (t, r), (f, r))
-        yield from ((v, r) for row in self.indicator for v in row)
-        for _, inst in self.gadget_log:
-            yield from inst.added_edges
+    def _columns(self) -> tuple[list[int], list[int]]:
+        """G' as two endpoint columns: palette triangle, indicators to R, then the gadget wiring."""
+        t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k
+        us, vs = _link_columns(chain.from_iterable(starmap(_chain_links, self._boundaries())))
+        return [t, t, f, *range(3, 3 + m), *us], [f, r, r, *repeat(r, m), *vs]
 
     def reconstruct_graph(self) -> Graph:
         """Rebuild the reduced graph from the map alone. Every vertex of G'
         has an edge, so the largest endpoint + 1 is the layout's own vertex
         count, which reduce_to_3col checks against the closed form."""
-        edges = tuple(self._gprime_edges())
-        return Graph(max(chain.from_iterable(edges)) + 1, edges)
+        us, vs = self._columns()
+        return Graph(max(max(us), max(vs)) + 1, tuple(zip(us, vs)))
 
-    def _document(self) -> dict:
+    def _header(self) -> dict:
         return {
             "k": self.k,
             "n": self.n,
@@ -102,19 +119,25 @@ class ReductionMap:
             "f": self.f_vertex,
             "r": self.r_vertex,
             "indicator": [list(row) for row in self.indicator],
-            "gadgets": [
-                {
-                    "tag": tag,
-                    "boundary": list(inst.boundary),
-                    "internal_start": inst.internal_start,
-                    "internal_len": inst.internal_len,
-                }
-                for tag, inst in self.gadget_log
-            ],
         }
 
+    def _document(self) -> dict:
+        gadgets = [
+            dict(tag=tag, boundary=list(g.boundary), internal_start=g.internal_start, internal_len=g.internal_len)
+            for tag, g in self.gadget_log
+        ]
+        return {**self._header(), "gadgets": gadgets}
+
     def to_json(self) -> str:
-        return json.dumps(self._document(), indent=2) + "\n"
+        """`json.dumps(self._document(), indent=2) + "\\n"`, with each gadget
+        record written from a template instead of a dict."""
+        records = ",\n".join(
+            _GADGET_RECORD % (tag, ",\n        ".join(map(str, boundary)), start, 3 * len(boundary) - 7)
+            for tag, (boundary, start) in zip(self._tags(), self._boundaries())
+        )
+        head = json.dumps(self._header(), indent=2)[: -len("\n}")]
+        gadgets = f"[\n{records}\n  ]" if records else "[]"
+        return f'{head},\n  "gadgets": {gadgets}\n}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
@@ -163,11 +186,12 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
 
 
 def _is_proper_on_gprime(rmap: ReductionMap, c: Coloring) -> bool:
-    """`is_proper_coloring` on G', run over the map's edge stream, not a built Graph."""
+    """`is_proper_coloring` on G', run over the map's edge columns, not a built Graph."""
     a, n = c.assignment, formula_vertices(rmap.n, rmap.e, rmap.k)
     if len(a) != n:
         raise ValueError(f"coloring covers {len(a)} vertices, reduced graph has {n}")
-    return all(a[u] != a[v] for u, v in rmap._gprime_edges())
+    us, vs = rmap._columns()
+    return all(map(ne, map(a.__getitem__, us), map(a.__getitem__, vs)))
 
 
 def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
@@ -187,12 +211,12 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
     # An extension depends only on the arity and the boundary colors,
     # both of which the key holds.
     extensions: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for _, inst in rmap.gadget_log:
-        boundary_colors = tuple(assign[v] for v in inst.boundary)
-        fill = extensions.get(boundary_colors)
+    for boundary, start in rmap._boundaries():
+        colors = tuple(map(assign.__getitem__, boundary))
+        fill = extensions.get(colors)
         if fill is None:
-            fill = extensions[boundary_colors] = tuple(extend_coloring(inst, boundary_colors).values())
-        assign[inst.internal_start : inst.internal_start + len(fill)] = fill
+            fill = extensions[colors] = tuple(extend_coloring(GadgetInstance(boundary, start), colors).values())
+        assign[start : start + len(fill)] = fill
     lifted = Coloring(3, tuple(assign))
     if not _is_proper_on_gprime(rmap, lifted):
         raise InvariantViolation("lifted coloring is not proper; construction bug")

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, repeat, starmap
 
 from .errors import ParseError
-from .gadgets import GraphBuilder, attach_chain_gadget
-from .graphs import Graph
+from .gadgets import _chain_links, _link_columns
+from .graphs import Graph, _numbered_lines
 from .reduction import reduce_to_3col
 from .solver import DEFAULT_BUDGET, solve
 
@@ -96,34 +96,23 @@ def encode_cnf_as_3col(f: CnfFormula) -> tuple[Graph, CnfGraphMap]:
     a triangle with B; per clause a chain over its literal vertices whose
     output is joined to F and B (forcing it to take T's color).
     """
-    b = GraphBuilder()
-    t, fv, bv = b.add_vertex(), b.add_vertex(), b.add_vertex()
-    b.add_edge(t, fv)
-    b.add_edge(t, bv)
-    b.add_edge(fv, bv)
-    pos, neg = [], []
-    for _ in range(f.var_count):
-        p, q = b.add_vertex(), b.add_vertex()
-        b.add_edge(p, q)
-        b.add_edge(p, bv)
-        b.add_edge(q, bv)
-        pos.append(p)
-        neg.append(q)
+    t, fv, bv = 0, 1, 2
+    pos = range(3, 3 + 2 * f.var_count, 2)
+    neg = range(4, 4 + 2 * f.var_count, 2)
+    outs, chains, n = [], [], 3 + 2 * f.var_count
     for clause in f.clauses:
-        lits = []
-        for lit in clause:
-            v = pos[lit - 1] if lit > 0 else neg[-lit - 1]
-            if v not in lits:  # (x or x) collapses to (x)
-                lits.append(v)
+        # (x or x) collapses to (x)
+        lits = tuple(dict.fromkeys(pos[lit - 1] if lit > 0 else neg[-lit - 1] for lit in clause))
         if len(lits) == 1:
-            b.add_edge(lits[0], fv)
-            b.add_edge(lits[0], bv)
-        else:
-            out = b.add_vertex()
-            attach_chain_gadget(b, lits, out)
-            b.add_edge(out, fv)
-            b.add_edge(out, bv)
-    return b.to_graph(), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))
+            outs.append(lits[0])
+        else:  # a fresh output vertex, then the chain's internals
+            outs.append(n)
+            chains.append(((*lits, n), n + 1))
+            n += 3 * len(lits) - 3
+    us, vs = _link_columns(chain.from_iterable(starmap(_chain_links, chains)))
+    us = [t, t, fv, *pos, *pos, *neg, *outs, *outs, *us]
+    vs = [fv, bv, bv, *neg, *repeat(bv, 2 * f.var_count), *repeat(fv, len(outs)), *repeat(bv, len(outs)), *vs]
+    return Graph(n, tuple(zip(us, vs))), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))
 
 
 def emit_dimacs_cnf(f: CnfFormula) -> str:
@@ -135,12 +124,10 @@ def emit_dimacs_cnf(f: CnfFormula) -> str:
 def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF; clauses are 0-terminated integer runs and may
     span lines. The `p cnf <v> <c>` line's c must equal the clause count."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     var_count = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

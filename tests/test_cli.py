@@ -64,6 +64,22 @@ def test_solve_rejects_wrong_declared_edge_count(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["e \u0661 2".encode(), b"e 1 2\xff"], ids=["arabic-indic-digit", "byte-0xff"])
+def test_solve_rejects_non_ascii_graph(tmp_path, capsys, line):
+    path = tmp_path / "g.col"
+    path.write_bytes(b"c two vertices\np edge 2 1\n" + line + b"\n")
+    assert main(["solve", "--k", "2", "--input", str(path)]) == 2
+    assert "line 3: non-ASCII character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["v 3 \u0662".encode(), b"v 3 2\xff"], ids=["arabic-indic-digit", "byte-0xff"])
+def test_verify_rejects_non_ascii_witness(tmp_path, k3_file, capsys, line):
+    witness = tmp_path / "w.txt"
+    witness.write_bytes(b"v 1 0\nv 2 1\n" + line + b"\n")
+    assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 2
+    assert "line 3: non-ASCII character" in capsys.readouterr().err
+
+
 def test_solve_exit_codes(tmp_path, k4_file):
     assert main(["solve", "--k", "3", "--input", str(k4_file)]) == 1
     assert main(["solve", "--k", "4", "--input", str(k4_file)]) == 0

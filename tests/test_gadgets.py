@@ -59,6 +59,31 @@ def test_chain_gadget_deltas(k):
     assert len(inst.added_edges) <= 5 * k
 
 
+def _linked_edges(boundary, start):
+    """The chain's wiring, link by link: each link but the last allocates
+    its output y, then its a and b; the last link outputs z."""
+    *inputs, z = boundary
+    prev, pos, edges = inputs[0], start, []
+    for i in range(1, len(inputs)):
+        if i == len(inputs) - 1:
+            out = z
+        else:
+            out, pos = pos, pos + 1
+        a, b = pos, pos + 1
+        pos += 2
+        edges += ((prev, a), (inputs[i], b), (a, b), (out, a), (out, b))
+        prev = out
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_added_edges_equal_link_by_link_wiring(k):
+    boundary = (*range(10, 10 + k), 1)
+    inst = GadgetInstance(boundary, 40)
+    assert inst.added_edges == _linked_edges(boundary, 40)
+    assert all(u < v for u, v in inst.added_edges)
+
+
 def test_chain_gadget_rejects_arity_one():
     b = GraphBuilder(2)
     with pytest.raises(ConstructionError):

@@ -25,6 +25,63 @@ def test_graph_rejects_self_loop_and_range():
         Graph(3, ((0, 3),))
 
 
+def _reference_edges(n, edges):
+    """The canonicalizing loop `Graph` runs on every input it cannot keep as is."""
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
+    canon = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        canon.add((u, v) if u < v else (v, u))
+    return tuple(sorted(canon))
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, ((0, 1), (0, 3), (1, 2), (2, 3))),
+        (4, [[0, 1], [1, 2]]),
+        (4, ([0, 1], [1, 2])),
+        (4, ((0, 1), (1, 2, 3))),
+        (4, ((0, 1), (2,))),
+        (4, ((0, 1), ())),
+        (4, ((1, 0),)),
+        (4, ((0, 2), (1, 0))),
+        (4, ((0, 1), (0, 1))),
+        (4, ((0, 2), (0, 1))),
+        (4, ((-1, 2),)),
+        (4, ((-2, -1), (0, 1))),
+        (4, ((0, 4),)),
+        (4, ((0, 5), (1, 2))),
+        (4, ((2, 2),)),
+        (4, ((0, 1), (3, 3))),
+        (4, ()),
+        (0, ()),
+        (-1, ()),
+        (4, ((0, 1), (1, "a"))),
+        (4, ((0, 1.5),)),
+    ],
+)
+def test_graph_equals_reference_loop(n, edges):
+    try:
+        expected = _reference_edges(n, edges)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            Graph(n, edges)
+        return
+    got = Graph(n, edges).edges
+    assert got == expected
+    assert type(got) is tuple and all(type(edge) is tuple for edge in got)
+
+
+def test_graph_keeps_canonical_edge_tuple():
+    edges = gen_gnp(30, 0.3, 1).edges
+    assert Graph(30, edges).edges is edges
+
+
 def test_coloring_rejects_out_of_palette():
     with pytest.raises(ValueError):
         Coloring(2, (0, 2))
@@ -86,6 +143,22 @@ def test_parse_rejects_wrong_declared_edge_count(declared):
     with pytest.raises(ParseError) as exc:
         parse_dimacs_col(f"c comment\np edge 3 {declared}\ne 1 2\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("p edge 2 1\ne \u0661 2\n", 2),  # an Arabic-Indic digit one, which int() reads as 1
+        (b"c \xff\np edge 2 1\ne 1 2\n", 1),
+        (b"p edge 2 1\r\re 1 2\xa0\n", 3),
+        ("p edge 2 1\ne 1 2\u2028", 2),
+    ],
+    ids=["digit", "byte-0xff", "cr-lines", "line-separator"],
+)
+def test_parse_rejects_non_ascii_on_its_line(text, line):
+    with pytest.raises(ParseError, match="non-ASCII") as exc:
+        parse_dimacs_col(text)
+    assert exc.value.line == line
 
 
 def test_parse_error_carries_line_number():

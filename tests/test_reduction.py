@@ -85,6 +85,24 @@ def test_map_reconstructs_reduced_graph():
             assert rmap.reconstruct_graph() == gprime
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_gprime_columns_follow_the_gadget_log(k):
+    rmap = ReductionMap(k, 6, gen_gnp(6, 0.5, 3).edges)
+    t, f, r = rmap.t_vertex, rmap.f_vertex, rmap.r_vertex
+    expected = [(t, f), (t, r), (f, r)]
+    expected += [(v, r) for row in rmap.indicator for v in row]
+    expected += [edge for _, inst in rmap.gadget_log for edge in inst.added_edges]
+    us, vs = rmap._columns()
+    assert list(zip(us, vs)) == expected
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("n, edges", [(0, ()), (1, ()), (2, ()), (3, ((0, 1), (0, 2)))])
+def test_to_json_is_json_dumps_of_the_document(n, edges, k):
+    rmap = ReductionMap(k, n, edges)
+    assert rmap.to_json() == json.dumps(rmap._document(), indent=2) + "\n"
+
+
 def test_map_json_round_trip():
     g = gen_gnp(4, 0.6, 9)
     gprime, rmap = reduce_to_3col(g, 3)

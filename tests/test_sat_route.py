@@ -1,11 +1,15 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from kcol3 import (
     CnfFormula,
+    CnfGraphMap,
     Graph,
+    GraphBuilder,
     ParseError,
+    attach_chain_gadget,
     cnf_satisfiable_brute_force,
     compare_routes,
     complete_graph,
@@ -140,11 +144,59 @@ def test_cnf_round_trip():
         "p cnf 1 1\n1\n",  # unterminated clause
         "p cnf 1 1\np cnf 1 1\n1 0\n",  # duplicate header
         "p dnf 1 1\n1 0\n",  # wrong format word
+        "p cnf 1 1\n\u0661 0\n",  # an Arabic-Indic digit one
+        b"p cnf 1 1\n1 0\xff\n",  # a byte that is not ASCII
     ],
 )
 def test_cnf_parse_errors(text):
     with pytest.raises(ParseError):
         parse_dimacs_cnf(text)
+
+
+def _builder_encoding(f):
+    """The SAT-route layout built edge by edge with GraphBuilder and
+    attach_chain_gadget: the reference for encode_cnf_as_3col."""
+    b = GraphBuilder()
+    t, fv, bv = b.add_vertex(), b.add_vertex(), b.add_vertex()
+    b.add_edge(t, fv)
+    b.add_edge(t, bv)
+    b.add_edge(fv, bv)
+    pos, neg = [], []
+    for _ in range(f.var_count):
+        p, q = b.add_vertex(), b.add_vertex()
+        b.add_edge(p, q)
+        b.add_edge(p, bv)
+        b.add_edge(q, bv)
+        pos.append(p)
+        neg.append(q)
+    for clause in f.clauses:
+        lits = []
+        for lit in clause:
+            v = pos[lit - 1] if lit > 0 else neg[-lit - 1]
+            if v not in lits:
+                lits.append(v)
+        if len(lits) == 1:
+            out = lits[0]
+        else:
+            out = b.add_vertex()
+            attach_chain_gadget(b, lits, out)
+        b.add_edge(out, fv)
+        b.add_edge(out, bv)
+    return b.to_graph(), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))
+
+
+def test_encode_cnf_as_3col_equals_builder_reference():
+    rng = random.Random(8)
+    formulas = [CnfFormula(0, ()), CnfFormula(3, ((1,), (1,), (-2, -2), (1, -1, 2, 3), (-3,), (2, 2, -1)))]
+    for _ in range(60):
+        var_count = rng.randint(1, 5)
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, var_count) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        formulas.append(CnfFormula(var_count, tuple(clauses)))
+    for f in formulas:
+        assert encode_cnf_as_3col(f) == _builder_encoding(f)
 
 
 @pytest.mark.parametrize("declared", [0, 2, 5])
