@@ -43,6 +43,7 @@ def _reference_edges(n, edges):
     "n, edges",
     [
         (4, ((0, 1), (0, 3), (1, 2), (2, 3))),
+        (4, [(0, 1), (1, 2)]),
         (4, [[0, 1], [1, 2]]),
         (4, ([0, 1], [1, 2])),
         (4, ((0, 1), (1, 2, 3))),
