@@ -8,8 +8,8 @@ canonical pairs (u, v) with u < v, deduplicated, no self-loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
-from operator import itemgetter, lt
+from itertools import groupby, starmap
+from operator import itemgetter, ne
 
 from .errors import ParseError
 
@@ -33,18 +33,17 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"negative vertex count {self.n}")
-        if _is_canonical(self.edges, self.n):
-            return
-        canon = set()
-        for u, v in self.edges:
+        n = self.n
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        pairs = sorted([(u, v) if u < v else (v, u) for u, v in self.edges])
+        # Sorted and oriented, the first pair holds the smallest endpoint.
+        if pairs and not (pairs[0][0] >= 0 and max(map(itemgetter(1), pairs)) < n and all(starmap(ne, pairs))):
+            u, v = next((u, v) for u, v in self.edges if u == v or not (0 <= u < n and 0 <= v < n))
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            canon.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        object.__setattr__(self, "edges", tuple(map(itemgetter(0), groupby(pairs))))
 
     @property
     def e(self) -> int:
@@ -59,22 +58,6 @@ class Graph:
         for row in adj:
             row.sort()
         return adj
-
-
-def _is_canonical(edges, n: int) -> bool:
-    """True when C-level passes show that `edges` is a tuple the loop in
-    `Graph.__post_init__` would return unchanged."""
-    try:  # an edge a pass cannot compare is left to the loop
-        return (
-            type(edges) is tuple
-            and set(map(type, edges)) == {tuple}
-            and all(starmap(lt, edges))
-            and edges[0][0] >= 0
-            and all(map(lt, edges, edges[1:]))
-            and max(map(itemgetter(1), edges)) < n
-        )
-    except TypeError:
-        return False
 
 
 @dataclass(frozen=True)

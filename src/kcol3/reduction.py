@@ -73,11 +73,10 @@ class ReductionMap:
     def _boundaries(self):
         """Yield (boundary, internal_start) for every gadget in construction order."""
         k, t, f, ind = self.k, self.t_vertex, self.f_vertex, self.indicator
-        pairs = list(combinations(range(k), 2))
         pos = 3 + self.n * k
         for boundary in chain(
             ((*row, t) for row in ind),
-            ((row[j1], row[j2], f) for row in ind for j1, j2 in pairs),
+            ((row[j1], row[j2], f) for row in ind for j1, j2 in combinations(range(k), 2)),
             ((ind[u][c], ind[v][c], f) for u, v in self.edges for c in range(k)),
         ):
             yield boundary, pos
@@ -85,10 +84,9 @@ class ReductionMap:
 
     def _tags(self):
         """The sidecar tag of every gadget, in the order of `_boundaries`."""
-        pairs = list(combinations(range(self.k), 2))
         return chain(
             (f"at-least-one:{i}" for i in range(self.n)),
-            (f"at-most-one:{i}:{j1}:{j2}" for i in range(self.n) for j1, j2 in pairs),
+            (f"at-most-one:{i}:{j1}:{j2}" for i in range(self.n) for j1, j2 in combinations(range(self.k), 2)),
             (f"edge-conflict:{u}:{v}:{c}" for u, v in self.edges for c in range(self.k)),
         )
 

@@ -1,11 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcol3 import (
     Coloring,
     Graph,
     ParseError,
+    ReductionMap,
     complete_graph,
     emit_dimacs_col,
+    formula_vertices,
     gen_gnp,
     is_proper_coloring,
     parse_dimacs_col,
@@ -26,7 +32,8 @@ def test_graph_rejects_self_loop_and_range():
 
 
 def _reference_edges(n, edges):
-    """The canonicalizing loop `Graph` runs on every input it cannot keep as is."""
+    """Per-edge reference for `Graph`'s canonicalization: check each edge,
+    orient it into a set, then sort the set."""
     if n < 0:
         raise ValueError(f"negative vertex count {n}")
     canon = set()
@@ -37,6 +44,17 @@ def _reference_edges(n, edges):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         canon.add((u, v) if u < v else (v, u))
     return tuple(sorted(canon))
+
+
+def _layout_edges(g, k):
+    """G''s edges in the order `ReductionMap.reconstruct_graph` hands them to `Graph`."""
+    return tuple(zip(*ReductionMap(k, g.n, g.edges)._columns()))
+
+
+def _both_ways_shuffled(g, seed):
+    edges = [*g.edges, *((v, u) for u, v in g.edges)]
+    random.Random(seed).shuffle(edges)
+    return tuple(edges)
 
 
 @pytest.mark.parametrize(
@@ -64,6 +82,8 @@ def _reference_edges(n, edges):
         (-1, ()),
         (4, ((0, 1), (1, "a"))),
         (4, ((0, 1.5),)),
+        (formula_vertices(6, gen_gnp(6, 0.5, 3).e, 3), _layout_edges(gen_gnp(6, 0.5, 3), 3)),
+        (12, _both_ways_shuffled(gen_gnp(12, 0.4, 2), 7)),
     ],
 )
 def test_graph_equals_reference_loop(n, edges):
@@ -78,9 +98,20 @@ def test_graph_equals_reference_loop(n, edges):
     assert type(got) is tuple and all(type(edge) is tuple for edge in got)
 
 
-def test_graph_keeps_canonical_edge_tuple():
-    edges = gen_gnp(30, 0.3, 1).edges
-    assert Graph(30, edges).edges is edges
+_endpoints = st.integers(-2, 9)
+_edge_inputs = st.one_of(
+    st.tuples(_endpoints, _endpoints),
+    st.lists(_endpoints, min_size=2, max_size=2),
+    st.lists(_endpoints, max_size=3).map(tuple),
+)
+
+
+# Integer endpoints only: with mixed types the reference and `Graph` may
+# meet a different bad edge first, and so raise a different error.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(-1, 8), st.one_of(st.lists(_edge_inputs), st.lists(_edge_inputs).map(tuple)))
+def test_graph_equals_reference_loop_on_generated_input(n, edges):
+    test_graph_equals_reference_loop(n, edges)
 
 
 def test_coloring_rejects_out_of_palette():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,26 @@ def _edited_sidecar(edit):
 def test_map_from_json_rejects_malformed_sidecar(text):
     with pytest.raises(ValueError):
         ReductionMap.from_json(text)
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        result = f()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_empty_reduction_memory_does_not_grow_with_k_squared():
+    # At k = 2000 a list of the k(k-1)/2 color pairs alone would take over 100 MiB.
+    sidecar = '{"k": 2000, "n": 0, "e": 0, "t": 0, "f": 1, "r": 2, "indicator": [], "gadgets": []}'
+    peak, rmap = _traced_peak(lambda: ReductionMap.from_json(sidecar))
+    assert rmap == ReductionMap(2000, 0, ())
+    assert peak < 2**20
+    peak, (gprime, _) = _traced_peak(lambda: reduce_to_3col(Graph(0, ()), 2000))
+    assert (gprime.n, gprime.e) == (3, 3)
+    assert peak < 2**20
 
 
 def test_determinism():
