@@ -47,7 +47,7 @@ def _reference_edges(n, edges):
 
 
 def _layout_edges(g, k):
-    """G''s edges in the order `ReductionMap.reconstruct_graph` hands them to `Graph`."""
+    """The edges of G' in the order `ReductionMap.reconstruct_graph` hands them to `Graph`."""
     return tuple(zip(*ReductionMap(k, g.n, g.edges)._columns()))
 
 
