@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -21,6 +22,7 @@ from kcol3 import (
     parse_dimacs_cnf,
     solve,
 )
+from kcol3.sat_route import comparison_to_json
 
 
 def all_graphs(n):
@@ -234,3 +236,37 @@ def test_sane_route_strictly_smaller():
         for k in (2, 3, 4):
             record = compare_routes(g, k, with_decisions=False)
             assert record["sane"]["vertices"] < record["sat_route"]["vertices"]
+
+
+@pytest.mark.parametrize(
+    "g, k, sizes_only_sha, decided_sha",
+    [
+        (
+            Graph(1, ()),
+            2,
+            "f2376246670728b6123c8a2cbbb0a6538c0efcb102ec95810e327c014483e14a",
+            "97946dc085edb8b4bfb6141837bfcdbad08544375484efd8329808618e008daa",
+        ),
+        (
+            gen_gnp(8, 0.4, 2),
+            3,
+            "2fe06d603272800d62c2472e3005f05eb91c3251ffb5db10b18e9cb3583cc88f",
+            "c40769faff44ff5b7dfb5bb98d4b8a338d4f93fe766892e7a87e6700d6c895f4",
+        ),
+        (
+            complete_graph(4),
+            3,
+            "c14bf8d9fb01db340208e32aa1a21b530f117877e766cd8003cf880d9eb6fbb8",
+            "311d813c4c39dec24a213691dd0ff7e3092a91e9626aead2c93f261bc37b349d",
+        ),
+    ],
+)
+def test_comparison_bytes_are_pinned(g, k, sizes_only_sha, decided_sha):
+    """The `compare` record's JSON text is byte-stable across refactors,
+    at budget 0 (both decisions null) and at the default budget."""
+
+    def sha(record):
+        return hashlib.sha256(comparison_to_json(record).encode()).hexdigest()
+
+    assert sha(compare_routes(g, k, 0)) == sizes_only_sha
+    assert sha(compare_routes(g, k)) == decided_sha
