@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=float, default=10.0, help="seconds per route; 0: sizes only, both decisions null")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gen", help="generate a random graph deterministically")

@@ -12,13 +12,13 @@ to T, which is achievable exactly when some literal is T.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product, repeat, starmap
 
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 from .gadgets import _chain_links, _link_columns
 from .graphs import Graph, _numbered_lines
-from .reduction import reduce_to_3col
+from .reduction import reduce_to_3col, size_report
 from .solver import DEFAULT_BUDGET, solve
 
 __all__ = [
@@ -39,8 +39,6 @@ class CnfFormula:
 
     var_count: int
     clauses: tuple[tuple[int, ...], ...]
-    # variable -> (source vertex, color); bookkeeping only, excluded from equality
-    annotation: tuple[tuple[int, tuple[int, int]], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
@@ -74,8 +72,7 @@ def encode_col_as_cnf(g: Graph, k: int) -> CnfFormula:
     for u, v in g.edges:
         for c in range(k):
             clauses.append((-var(u, c), -var(v, c)))
-    annotation = tuple((var(i, j), (i, j)) for i in range(g.n) for j in range(k))
-    return CnfFormula(g.n * k, tuple(clauses), annotation)
+    return CnfFormula(g.n * k, tuple(clauses))
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,16 @@ def encode_cnf_as_3col(f: CnfFormula) -> tuple[Graph, CnfGraphMap]:
     us = [t, t, fv, *pos, *pos, *neg, *outs, *outs, *us]
     vs = [fv, bv, bv, *neg, *repeat(bv, 2 * f.var_count), *repeat(fv, len(outs)), *repeat(bv, len(outs)), *vs]
     return Graph(n, tuple(zip(us, vs))), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))
+
+
+def _sat_route_sizes(n: int, e: int, k: int) -> dict:
+    """Closed-form SAT-route sizes of (g, k), k >= 2: its CNF has no unit clause, so no edge repeats."""
+    return {
+        "vars": k * n,
+        "clauses": n + n * k * (k - 1) // 2 + k * e,
+        "vertices": 3 + n * (3 * k * k + 7 * k - 6) // 2 + 3 * k * e,
+        "edges": 3 + n * (7 * k * k + 9 * k - 6) // 2 + 7 * k * e,
+    }
 
 
 def emit_dimacs_cnf(f: CnfFormula) -> str:
@@ -180,31 +187,24 @@ def cnf_satisfiable_brute_force(f: CnfFormula, max_vars: int = 20) -> bool:
 def compare_routes(g: Graph, k: int, budget: float = DEFAULT_BUDGET, with_decisions: bool = True) -> dict:
     """Size (and optionally decision) comparison of the two routes.
 
-    Returns a JSON-ready record; decisions are None when the solver
-    budget runs out on that side.
-    """
-    gprime, _ = reduce_to_3col(g, k)
-    cnf = encode_col_as_cnf(g, k)
-    gsat, _ = encode_cnf_as_3col(cnf)
+    Returns a JSON-ready record. Its sizes come from the closed forms; a
+    route's graph is built only to decide it, at a positive budget. A
+    decision is None when not asked for or when the budget runs out."""
+    sane = size_report(g, k)
+    sat = _sat_route_sizes(g.n, g.e, k)
     record = {
-        "sane": {"vertices": gprime.n, "edges": gprime.e},
-        "sat_route": {
-            "vars": cnf.var_count,
-            "clauses": len(cnf.clauses),
-            "vertices": gsat.n,
-            "edges": gsat.e,
-        },
-        "ratios": {
-            "vertices": gsat.n / gprime.n,
-            "edges": gsat.e / gprime.e,
-        },
+        "sane": {"vertices": sane.vertices, "edges": sane.edges},
+        "sat_route": sat,
+        "ratios": {"vertices": sat["vertices"] / sane.vertices, "edges": sat["edges"] / sane.edges},
         "decisions": {"sane": None, "sat_route": None},
     }
-    if with_decisions:
-        for name, graph in (("sane", gprime), ("sat_route", gsat)):
-            outcome = solve(graph, 3, budget)
-            if outcome.status != "timeout":
-                record["decisions"][name] = outcome.status == "colorable"
+    if with_decisions and budget > 0:
+        for name in ("sane", "sat_route"):
+            graph = reduce_to_3col(g, k)[0] if name == "sane" else encode_cnf_as_3col(encode_col_as_cnf(g, k))[0]
+            if (graph.n, graph.e) != (record[name]["vertices"], record[name]["edges"]):
+                raise InvariantViolation(f"built {name} graph has ({graph.n}, {graph.e}), not its closed-form sizes")
+            record["decisions"][name] = {"colorable": True, "uncolorable": False}.get(solve(graph, 3, budget).status)
+            del graph  # the two routes' graphs are never alive at once
     return record
 
 

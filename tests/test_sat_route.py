@@ -9,6 +9,7 @@ from kcol3 import (
     CnfGraphMap,
     Graph,
     GraphBuilder,
+    InvariantViolation,
     ParseError,
     attach_chain_gadget,
     cnf_satisfiable_brute_force,
@@ -20,8 +21,10 @@ from kcol3 import (
     encode_col_as_cnf,
     gen_gnp,
     parse_dimacs_cnf,
+    reduce_to_3col,
     solve,
 )
+from kcol3 import sat_route
 from kcol3.sat_route import comparison_to_json
 
 
@@ -65,14 +68,6 @@ def test_encode_count_formula():
 def test_encode_rejects_small_k():
     with pytest.raises(ValueError):
         encode_col_as_cnf(complete_graph(2), 1)
-
-
-def test_encode_annotation_is_total_and_injective():
-    g = complete_graph(3)
-    cnf = encode_col_as_cnf(g, 3)
-    annotation = dict(cnf.annotation)
-    assert sorted(annotation) == list(range(1, 10))
-    assert len(set(annotation.values())) == 9
 
 
 def test_cnf_satisfiability_matches_colorability():
@@ -220,6 +215,47 @@ def test_compare_routes_record():
     assert record["sat_route"]["clauses"] == 21
     assert record["ratios"]["vertices"] > 1
     assert record["decisions"] == {"sane": True, "sat_route": True}
+    # every size in the record is the size of the graph or formula it names
+    graphs = [Graph(0, ()), Graph(5, ()), *map(complete_graph, range(1, 7))]
+    graphs += [gen_gnp(n, p, seed) for n in (4, 7) for p in (0.3, 0.7) for seed in range(2)]
+    for g in graphs:
+        for k in range(2, 7):
+            gprime, _ = reduce_to_3col(g, k)
+            cnf = encode_col_as_cnf(g, k)
+            gsat, _ = encode_cnf_as_3col(cnf)
+            record = compare_routes(g, k, 0)
+            assert record["sane"] == {"vertices": gprime.n, "edges": gprime.e}
+            assert record["sat_route"] == {
+                "vars": cnf.var_count,
+                "clauses": len(cnf.clauses),
+                "vertices": gsat.n,
+                "edges": gsat.e,
+            }
+            assert record["ratios"] == {"vertices": gsat.n / gprime.n, "edges": gsat.e / gprime.e}
+
+
+def test_sizes_only_compare_builds_no_graph(monkeypatch):
+    g = gen_gnp(12, 0.3, 7)
+    expected = compare_routes(g, 4, 0)
+
+    def no_build(*args):
+        raise AssertionError("a graph or a formula was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_build)
+    monkeypatch.setattr(CnfFormula, "__post_init__", no_build)
+    monkeypatch.setattr(sat_route, "reduce_to_3col", no_build)
+    monkeypatch.setattr(sat_route, "encode_col_as_cnf", no_build)
+    assert compare_routes(g, 4, 0) == expected
+    assert compare_routes(g, 4, with_decisions=False) == expected
+    with pytest.raises(ValueError):
+        compare_routes(g, 1, 0)
+
+
+def test_compare_checks_each_graph_it_builds(monkeypatch):
+    monkeypatch.setattr(sat_route, "encode_cnf_as_3col", lambda f: (Graph(4, ()), None))
+    assert compare_routes(complete_graph(3), 3, 0)["decisions"] == {"sane": None, "sat_route": None}
+    with pytest.raises(InvariantViolation):
+        compare_routes(complete_graph(3), 3)
 
 
 def test_compare_routes_decisions_agree():
