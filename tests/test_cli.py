@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from kcol3 import complete_graph, cycle_graph, emit_dimacs_col
-from kcol3.cli import main
+from kcol3 import ParseError, complete_graph, cycle_graph, emit_dimacs_col
+from kcol3.cli import _read_witness, main
 
 
 @pytest.fixture
@@ -108,6 +108,35 @@ def test_verify_rejects_duplicate_vertex_line(tmp_path, k3_file, capsys):
     witness.write_text("v 1 0\nv 2 1\nv 3 2\nv 1 1\n")
     assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+# text -> (message, line) of the ParseError that reading a witness for
+# n = 3, k = 3 raises: one case for each check, then two texts with two
+# faults each, where the first faulty line wins.
+_WITNESS_ERRORS = {
+    "v 1 0\nw 2 1\n": ("malformed witness line 'w 2 1'", 2),
+    "c comment\nv 1\n": ("malformed witness line 'v 1'", 2),
+    "v 1 x\n": ("non-integer field in 'v 1 x'", 1),
+    "v 4 0\n": ("vertex 4 out of range 1..3", 1),
+    "v 0 0\n": ("vertex 0 out of range 1..3", 1),
+    "v 1 3\n": ("color 3 out of range 0..2", 1),
+    "v 1 0\nv 2 1\nv 3 2\nv 1 1\n": ("duplicate line for vertex 1", 4),
+    "v 1 0\n\nv 3 2\n": ("witness missing vertex 2", 1),
+    "": ("witness missing vertex 1", 1),
+    b"v 1 0\nv 2 \xff\n": ("non-ASCII character", 2),
+    "v 1 0\nv 1 5\nv 9 0\n": ("color 5 out of range 0..2", 2),
+    "v 2 0\nv 2 1\nx\n": ("duplicate line for vertex 2", 2),
+}
+
+
+@pytest.mark.parametrize("text", list(_WITNESS_ERRORS))
+def test_witness_errors(tmp_path, text):
+    message, line = _WITNESS_ERRORS[text]
+    path = tmp_path / "w.txt"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ParseError) as exc:
+        _read_witness(str(path), 3, 3)
+    assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
 
 def test_solve_on_reduced_instance(tmp_path, k3_file):

@@ -153,21 +153,37 @@ def test_parse_dedups_reversed_edges():
     assert g.edges == ((0, 1), (0, 2), (1, 3))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p edge 2 1\ne 1 1\n",  # self-loop
-        "e 1 2\n",  # edge before header
-        "p edge 2 1\np edge 2 1\n",  # duplicate header
-        "p edge 2 1\ne 1 3\n",  # out of range
-        "p edge 2 1\ne 0 1\n",  # vertices are 1-indexed
-        "p edge 2 1\nq 1 2\n",  # unknown line
-        "p edge 2 1\ne 1\n",  # malformed edge line
-    ],
-)
+# text -> (message, line) of the ParseError that parse_dimacs_col raises:
+# one case for each check, then two texts with two faults each, where the
+# first faulty line wins.
+_COL_PARSE_ERRORS = {
+    "p edge 2 1\ne 1 1\n": ("self-loop at vertex 1", 2),
+    "e 1 2\n": ("edge line before p line", 1),
+    "p edge 2 1\np edge 2 1\n": ("duplicate p line", 2),
+    "p edge 2 1\ne 1 3\n": ("endpoint out of range 1..2 in 'e 1 3'", 2),
+    "p edge 2 1\ne 0 1\n": ("endpoint out of range 1..2 in 'e 0 1'", 2),  # vertices are 1-indexed
+    "p edge 2 1\nq 1 2\n": ("unrecognized line 'q 1 2'", 2),
+    "p edge 2 1\ne 1\n": ("malformed edge line 'e 1'", 2),
+    "p edge 2 1\ne 1 x\n": ("non-integer endpoint in 'e 1 x'", 2),
+    "c header next\np edge 2\n": ("malformed problem line 'p edge 2'", 2),
+    "p col 2 1\n": ("malformed problem line 'p col 2 1'", 1),
+    "p edge two 1\n": ("non-integer counts in 'p edge two 1'", 1),
+    "p edge -1 0\n": ("negative vertex count -1", 1),
+    "pxyz edge 2 1\n": ("unrecognized line 'pxyz edge 2 1'", 1),  # the first field must be p
+    "c no header\n\n": ("missing p line", 1),
+    "p edge 3 2\ne 1 2\n": ("p line declares 2 edges, file has 1 distinct edges", 1),
+    "p edge 2 1\ne \u0661 2\n": ("non-ASCII character", 2),
+    "c two faults\np edge 3 1\ne 1 1\ne 1 4\n": ("self-loop at vertex 1", 3),
+    "p edge 2 1\nq\np edge 2 1\n": ("unrecognized line 'q'", 2),
+}
+
+
+@pytest.mark.parametrize("text", list(_COL_PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    message, line = _COL_PARSE_ERRORS[text]
+    with pytest.raises(ParseError) as exc:
         parse_dimacs_col(text)
+    assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
 
 @pytest.mark.parametrize("declared", [0, 2, 7])

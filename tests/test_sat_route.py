@@ -132,22 +132,36 @@ def test_cnf_round_trip():
         assert parse_dimacs_cnf(emit_dimacs_cnf(cnf)) == cnf
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1 0\n",  # clause before header
-        "p cnf 1 1\n2 0\n",  # literal out of range
-        "p cnf 1 1\nx 0\n",  # bad token
-        "p cnf 1 1\n1\n",  # unterminated clause
-        "p cnf 1 1\np cnf 1 1\n1 0\n",  # duplicate header
-        "p dnf 1 1\n1 0\n",  # wrong format word
-        "p cnf 1 1\n\u0661 0\n",  # an Arabic-Indic digit one
-        b"p cnf 1 1\n1 0\xff\n",  # a byte that is not ASCII
-    ],
-)
+# text -> (message, line) of the ParseError that parse_dimacs_cnf raises:
+# one case for each check, then two texts with two faults each, where the
+# first faulty line wins.
+_CNF_PARSE_ERRORS = {
+    "1 0\n": ("clause before p line", 1),
+    "x 0\n": ("clause before p line", 1),  # checked before the literals
+    "p cnf 1 1\n2 0\n": ("literal 2 exceeds declared 1 variables", 2),
+    "p cnf 1 1\n-2 0\n": ("literal -2 exceeds declared 1 variables", 2),
+    "p cnf 1 1\nx 0\n": ("bad literal 'x'", 2),
+    "p cnf 1 1\n1\n": ("unterminated clause at end of input", 2),
+    "p cnf 1 1\np cnf 1 1\n1 0\n": ("duplicate p line", 2),
+    "p dnf 1 1\n1 0\n": ("malformed problem line 'p dnf 1 1'", 1),
+    "c header next\np cnf 1\n": ("malformed problem line 'p cnf 1'", 2),
+    "p cnf one 1\n": ("non-integer counts in 'p cnf one 1'", 1),
+    "p cnf 1 1\n1 0 0\n": ("empty clause", 2),
+    "c no header\n\n": ("missing p line", 1),
+    "p cnf 1 2\n1\n0\n": ("p line declares 2 clauses, file has 1", 1),
+    "p cnf 1 1\n\u0661 0\n": ("non-ASCII character", 2),  # an Arabic-Indic digit one
+    b"p cnf 1 1\n1 0\xff\n": ("non-ASCII character", 2),
+    "p cnf 1 1\n0\n2 0\n": ("empty clause", 2),
+    "p cnf 1 1\ny 0\np cnf 1 1\n": ("bad literal 'y'", 2),
+}
+
+
+@pytest.mark.parametrize("text", list(_CNF_PARSE_ERRORS))
 def test_cnf_parse_errors(text):
-    with pytest.raises(ParseError):
+    message, line = _CNF_PARSE_ERRORS[text]
+    with pytest.raises(ParseError) as exc:
         parse_dimacs_cnf(text)
+    assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
 
 def _builder_encoding(f):
