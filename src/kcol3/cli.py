@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConstructionError, ParseError, SolveTimeout
-from .graphs import Coloring, Graph, _numbered_lines, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
+from .graphs import Coloring, Graph, _fields, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
 from .reduction import lift_witness, project_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import solve
@@ -36,12 +36,8 @@ def _write_witness(path: str, c: Coloring):
 
 
 def _read_witness(path: str, n: int, k: int) -> Coloring:
-    assignment: dict[int, int] = {}
-    for lineno, raw in _numbered_lines(Path(path).read_bytes()):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    assignment: list[int | None] = [None] * n
+    for lineno, line, parts in _fields(Path(path).read_bytes()):
         if len(parts) != 3 or parts[0] != "v":
             raise ParseError(f"malformed witness line {line!r}", lineno)
         try:
@@ -52,13 +48,12 @@ def _read_witness(path: str, n: int, k: int) -> Coloring:
             raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
         if not (0 <= color < k):
             raise ParseError(f"color {color} out of range 0..{k - 1}", lineno)
-        if v - 1 in assignment:
+        if assignment[v - 1] is not None:
             raise ParseError(f"duplicate line for vertex {v}", lineno)
         assignment[v - 1] = color
-    missing = [v for v in range(n) if v not in assignment]
-    if missing:
-        raise ParseError(f"witness missing vertex {missing[0] + 1}", 1)
-    return Coloring(k, tuple(assignment[v] for v in range(n)))
+    if None in assignment:
+        raise ParseError(f"witness missing vertex {assignment.index(None) + 1}", 1)
+    return Coloring(k, assignment)
 
 
 def _cmd_reduce(args) -> int:
@@ -147,9 +142,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.model != "gnp":
-        print(f"error: unknown model {args.model!r}", file=sys.stderr)
-        return EXIT_USAGE
     g = gen_gnp(args.n, args.p, args.seed)
     Path(args.output).write_text(emit_dimacs_col(g))
     print(f"wrote G({args.n}, {args.p}) seed={args.seed}: {g.e} edges")

@@ -90,16 +90,33 @@ def is_proper_coloring(g: Graph, c: Coloring) -> bool:
     return all(a[u] != a[v] for u, v in g.edges)
 
 
-def _numbered_lines(text: str | bytes):
-    """Enumerate the lines of a DIMACS-style text from 1. The format is
-    ASCII: a non-ASCII character, which `int` may read as a digit, is a
-    ParseError on its line."""
+def _fields(text: str | bytes):
+    """Yield (line number from 1, stripped line, its fields) for every line
+    of a DIMACS-style text that is neither blank nor a `c` comment. The
+    format is ASCII: a non-ASCII character, which `int` may read as a
+    digit, is a ParseError on its line, raised before any line is read."""
     text = text.decode("latin-1") if isinstance(text, bytes) else text  # no byte fails to decode as latin-1
     if not text.isascii():
         culprit = next(i for i, ch in enumerate(text) if not ch.isascii())
         # With "x" standing in for the culprit, its line is the text's last line.
         raise ParseError("non-ASCII character", len((text[:culprit] + "x").splitlines()))
-    return enumerate(text.splitlines(), start=1)
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if line and not line.startswith("c"):
+            yield lineno, line, line.split()
+
+
+def _problem_counts(line: str, parts: list[str], kind: str, lineno: int) -> tuple[int, int]:
+    """The two counts of a `p <kind> <a> <b>` line (kind `edge` or `cnf`);
+    a negative vertex or variable count a is an error."""
+    if len(parts) != 4 or parts[1] != kind:
+        raise ParseError(f"malformed problem line {line!r}", lineno)
+    try:
+        a, b = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError(f"non-integer counts in {line!r}", lineno) from None
+    if a < 0:
+        raise ParseError(f"negative {'vertex' if kind == 'edge' else 'variable'} count {a}", lineno)
+    return a, b
 
 
 def parse_dimacs_col(text: str | bytes) -> Graph:
@@ -111,22 +128,12 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
     """
     n = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in _numbered_lines(text):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _fields(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate p line", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(f"malformed problem line {line!r}", lineno)
-            try:
-                n, declared_e, p_lineno = int(parts[2]), int(parts[3]), lineno
-            except ValueError:
-                raise ParseError(f"non-integer counts in {line!r}", lineno) from None
-            if n < 0:
-                raise ParseError(f"negative vertex count {n}", lineno)
+            n, declared_e = _problem_counts(line, parts, "edge", lineno)
+            p_lineno = lineno
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before p line", lineno)
@@ -145,7 +152,7 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing p line", 1)
-    g = Graph(n, tuple(edges))
+    g = Graph(n, edges)
     if g.e != declared_e:
         raise ParseError(f"p line declares {declared_e} edges, file has {g.e} distinct edges", p_lineno)
     return g

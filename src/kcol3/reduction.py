@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat, starmap
-from operator import ne
+from operator import eq, ne
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
@@ -119,16 +119,10 @@ class ReductionMap:
             "indicator": [list(row) for row in self.indicator],
         }
 
-    def _document(self) -> dict:
-        gadgets = [
-            dict(tag=tag, boundary=list(g.boundary), internal_start=g.internal_start, internal_len=g.internal_len)
-            for tag, g in self.gadget_log
-        ]
-        return {**self._header(), "gadgets": gadgets}
-
     def to_json(self) -> str:
-        """`json.dumps(self._document(), indent=2) + "\\n"`, with each gadget
-        record written from a template instead of a dict."""
+        """`json.dumps` of the header with the gadget records appended, at
+        indent 2 and with a final newline; each record is written from a
+        template instead of a dict."""
         records = ",\n".join(
             _GADGET_RECORD % (tag, ",\n        ".join(map(str, boundary)), start, 3 * len(boundary) - 7)
             for tag, (boundary, start) in zip(self._tags(), self._boundaries())
@@ -140,8 +134,9 @@ class ReductionMap:
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
         """Read (k, n, source edges) from a sidecar, then require the
-        sidecar to equal the one that reduction writes. Any other
-        document raises ValueError."""
+        sidecar to equal the one that reduction writes: its header, then
+        each gadget record in one pass. Any other document raises
+        ValueError."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("reduction map must be a JSON object")
@@ -163,7 +158,12 @@ class ReductionMap:
         if Graph(n, edges).edges != edges:
             raise ValueError("reduction map source edges are not sorted, distinct pairs (u < v)")
         rmap = cls(k, n, edges)
-        if rmap._document() != doc:
+        records = (
+            dict(tag=tag, boundary=list(boundary), internal_start=start, internal_len=3 * len(boundary) - 7)
+            for tag, (boundary, start) in zip(rmap._tags(), rmap._boundaries())
+        )
+        # The gadgets list is compared with itself here and record by record below.
+        if doc != {**rmap._header(), "gadgets": gadgets} or not all(map(eq, gadgets, records)):
             raise ValueError(f"reduction map differs from the reduction of its k={k}, n={n} and source edges")
         return rmap
 

@@ -17,7 +17,7 @@ from itertools import chain, product, repeat, starmap
 
 from .errors import InvariantViolation, ParseError
 from .gadgets import _chain_links, _link_columns
-from .graphs import Graph, _numbered_lines
+from .graphs import Graph, _fields, _problem_counts
 from .reduction import reduce_to_3col, size_report
 from .solver import DEFAULT_BUDGET, solve
 
@@ -134,24 +134,16 @@ def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
     var_count = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for lineno, raw in _numbered_lines(text):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
+    for lineno, line, parts in _fields(text):
+        if parts[0] == "p":
             if var_count is not None:
                 raise ParseError("duplicate p line", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed problem line {line!r}", lineno)
-            try:
-                var_count, declared_c, p_lineno = int(parts[2]), int(parts[3]), lineno
-            except ValueError:
-                raise ParseError(f"non-integer counts in {line!r}", lineno) from None
+            var_count, declared_c = _problem_counts(line, parts, "cnf", lineno)
+            p_lineno = lineno
             continue
         if var_count is None:
             raise ParseError("clause before p line", lineno)
-        for token in line.split():
+        for token in parts:
             try:
                 lit = int(token)
             except ValueError:

@@ -43,6 +43,16 @@ def test_reduce_rejects_k1(tmp_path, k3_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["roundtrip", "compare"])
+def test_k1_is_usage_error(tmp_path, k3_file, capsys, command):
+    argv = [command, "--k", "1", "--input", str(k3_file)]
+    if command == "compare":
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "--k must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_deterministic(tmp_path, k3_file):
     a, b = tmp_path / "a.col", tmp_path / "b.col"
     main(["reduce", "--k", "3", "--input", str(k3_file), "--output", str(a)])
@@ -187,6 +197,12 @@ def test_gen_extremes(tmp_path):
     assert empty.read_text() == "p edge 5 0\n"
     assert main(["gen", "--model", "gnp", "--n", "4", "--p", "1", "--seed", "1", "--output", str(full)]) == 0
     assert full.read_text() == emit_dimacs_col(complete_graph(4))
+
+
+def test_gen_rejects_unknown_model(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--model", "er", "--n", "4", "--p", "0.5", "--seed", "1", "--output", str(tmp_path / "g.col")])
+    assert exc.value.code == 2
 
 
 def test_gen_deterministic(tmp_path):

@@ -97,11 +97,21 @@ def test_gprime_columns_follow_the_gadget_log(k):
     assert list(zip(us, vs)) == expected
 
 
+def _document(rmap):
+    """The sidecar as a dict, built from the gadget log: the reference that
+    to_json writes from templates and from_json checks record by record."""
+    gadgets = [
+        dict(tag=tag, boundary=list(g.boundary), internal_start=g.internal_start, internal_len=g.internal_len)
+        for tag, g in rmap.gadget_log
+    ]
+    return {**rmap._header(), "gadgets": gadgets}
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 @pytest.mark.parametrize("n, edges", [(0, ()), (1, ()), (2, ()), (3, ((0, 1), (0, 2)))])
 def test_to_json_is_json_dumps_of_the_document(n, edges, k):
     rmap = ReductionMap(k, n, edges)
-    assert rmap.to_json() == json.dumps(rmap._document(), indent=2) + "\n"
+    assert rmap.to_json() == json.dumps(_document(rmap), indent=2) + "\n"
 
 
 def test_map_json_round_trip():
@@ -143,6 +153,23 @@ def _edited_sidecar(edit):
 def test_map_from_json_rejects_malformed_sidecar(text):
     with pytest.raises(ValueError):
         ReductionMap.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(extra=0),
+        lambda doc: doc.update(t=2, r=0),
+        lambda doc: doc["gadgets"][5].update(extra=0),
+        lambda doc: doc["gadgets"][5]["boundary"].reverse(),
+        lambda doc: doc["gadgets"][-1].update(internal_start=doc["gadgets"][-1]["internal_start"] + 1),
+        lambda doc: doc["gadgets"][1].update(tag="at-least-one:0"),
+    ],
+    ids=["extra-key", "palette", "record-extra-key", "boundary-order", "last-start", "record-tag"],
+)
+def test_map_from_json_checks_header_and_every_record(edit):
+    with pytest.raises(ValueError, match="differs from the reduction"):
+        ReductionMap.from_json(_edited_sidecar(edit))
 
 
 def _traced_peak(f):

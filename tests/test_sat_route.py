@@ -151,6 +151,10 @@ _CNF_PARSE_ERRORS = {
     "p cnf 1 2\n1\n0\n": ("p line declares 2 clauses, file has 1", 1),
     "p cnf 1 1\n\u0661 0\n": ("non-ASCII character", 2),  # an Arabic-Indic digit one
     b"p cnf 1 1\n1 0\xff\n": ("non-ASCII character", 2),
+    "p cnf -3 0\n": ("negative variable count -3", 1),
+    "pxyz cnf 1 1\n1 0\n": ("clause before p line", 1),  # the first field must be p
+    "pcnf 1 1\n": ("clause before p line", 1),
+    "p cnf 1 1\n1\nc trailing comment\n\n": ("unterminated clause at end of input", 2),  # the last line with fields
     "p cnf 1 1\n0\n2 0\n": ("empty clause", 2),
     "p cnf 1 1\ny 0\np cnf 1 1\n": ("bad literal 'y'", 2),
 }
