@@ -136,6 +136,7 @@ _WITNESS_ERRORS = {
     b"v 1 0\nv 2 \xff\n": ("non-ASCII character", 2),
     "v 1 0\nv 1 5\nv 9 0\n": ("color 5 out of range 0..2", 2),
     "v 2 0\nv 2 1\nx\n": ("duplicate line for vertex 2", 2),
+    "v\n1 0 v 2 1\nv 3 2\n": ("malformed witness line 'v'", 1),  # as many fields as three witness lines
 }
 
 

@@ -175,6 +175,8 @@ _COL_PARSE_ERRORS = {
     "p edge 2 1\ne \u0661 2\n": ("non-ASCII character", 2),
     "c two faults\np edge 3 1\ne 1 1\ne 1 4\n": ("self-loop at vertex 1", 3),
     "p edge 2 1\nq\np edge 2 1\n": ("unrecognized line 'q'", 2),
+    "c x\ne 1 2\np edge 2 1\ne 1 2\n": ("edge line before p line", 2),
+    "p edge 4 2\ne\n1 2 e 3 4\n": ("malformed edge line 'e'", 2),  # as many fields as two edge lines
 }
 
 
