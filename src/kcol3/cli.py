@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConstructionError, ParseError, SolveTimeout
-from .graphs import Coloring, Graph, _fields, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
+from .graphs import Coloring, Graph, _bulk_columns, _fields, emit_dimacs_col, gen_gnp, is_proper_coloring
+from .graphs import parse_dimacs_col
 from .reduction import lift_witness, project_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import solve
@@ -36,8 +37,19 @@ def _write_witness(path: str, c: Coloring):
 
 
 def _read_witness(path: str, n: int, k: int) -> Coloring:
+    """The layout `_write_witness` writes is read in bulk, any other by `_walk_witness`, which alone raises."""
+    data, colors = Path(path).read_bytes(), []
+    for block in _bulk_columns(data, 0, b"v"):
+        in_order = block and block[0] == list(range(len(colors) + 1, len(colors) + len(block[0]) + 1))
+        if not (in_order and 0 <= min(block[1]) <= max(block[1]) < k):
+            return _walk_witness(data, n, k)
+        colors += block[1]
+    return Coloring(k, colors) if len(colors) == n else _walk_witness(data, n, k)
+
+
+def _walk_witness(text: bytes, n: int, k: int) -> Coloring:
     assignment: list[int | None] = [None] * n
-    for lineno, line, parts in _fields(Path(path).read_bytes()):
+    for lineno, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] != "v":
             raise ParseError(f"malformed witness line {line!r}", lineno)
         try:

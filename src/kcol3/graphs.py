@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby, starmap
-from operator import itemgetter, ne
+from operator import eq, itemgetter, ne
 
 from .errors import ParseError
 
@@ -119,13 +119,56 @@ def _problem_counts(line: str, parts: list[str], kind: str, lineno: int) -> tupl
     return a, b
 
 
+_BULK_BLOCK = 1 << 16  # bytes per block of the bulk readers: it bounds their peak memory, not their speed
+
+
+def _bulk_columns(data: bytes, start: int, tag: bytes):
+    """Yield the two int columns of data[start:] block by block while every line is `<tag> <digits> <digits>`,
+    single-spaced and newline-ended; at the first doubt yield None and stop. Never raises."""
+    try:
+        while start < len(data):
+            stop = data.find(b"\n", start + _BULK_BLOCK) + 1 or len(data)
+            block, start = data[start:stop], stop
+            fields = block.replace(b"\n", b" \n ").split(b" ")  # an aligned line: tag, int, int, newline
+            lines = len(fields) // 4
+            if block.translate(None, b" \n0123456789" + tag) or fields[-1] or len(fields) != 4 * lines + 1 or (
+                fields[:-1:4].count(tag) + fields[3::4].count(b"\n") != 2 * lines
+            ):
+                raise ValueError
+            yield list(map(int, fields[1::4])), list(map(int, fields[2::4]))
+    except ValueError:
+        yield None
+
+
 def parse_dimacs_col(text: str | bytes) -> Graph:
     """Parse DIMACS .col text into a canonical Graph.
 
     Accepts `c` comment lines, exactly one `p edge <n> <e>` line, and
     `e <u> <v>` lines with 1-indexed endpoints. Self-loops are rejected.
     A repeated edge, either way round, collapses, and `e` counts it once.
+    The layout `emit_dimacs_col` writes is read in bulk, any other text by
+    `_walk_dimacs_col`, line by line, with the same result or error.
     """
+    data = text.encode("ascii", "replace") if isinstance(text, str) else text  # "?" fails every bulk check
+    start = data.find(b"\n") + 1
+    head = data[: start - 1].split(b" ")
+    # A header of at most 64 bytes keeps its counts well inside the digit limit of int().
+    if 0 < start <= 64 and len(head) == 4 and head[:2] == [b"p", b"edge"] and head[2].isdigit() and head[3].isdigit():
+        n, us, vs = int(head[2]), [], []
+        for block in _bulk_columns(data, start, b"e"):
+            if block is None or not 1 <= min(map(min, block)) <= max(map(max, block)) <= n or any(map(eq, *block)):
+                break
+            us += map((-1).__add__, block[0])
+            vs += map((-1).__add__, block[1])
+        else:
+            g = Graph(n, zip(us, vs))  # checked above, so Graph reads the pairs once
+            if g.e == int(head[3]):
+                return g
+    return _walk_dimacs_col(text)
+
+
+def _walk_dimacs_col(text: str | bytes) -> Graph:
+    """parse_dimacs_col line by line, the only .col reader that raises ParseError."""
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, line, parts in _fields(text):

@@ -90,11 +90,6 @@ class ReductionMap:
             (f"edge-conflict:{u}:{v}:{c}" for u, v in self.edges for c in range(self.k)),
         )
 
-    @property
-    def gadget_log(self):
-        """Yield (tag, GadgetInstance) for every gadget in construction order."""
-        return ((tag, GadgetInstance(*gadget)) for tag, gadget in zip(self._tags(), self._boundaries()))
-
     def _columns(self) -> tuple[list[int], list[int]]:
         """G' as two endpoint columns: palette triangle, indicators to R, then the gadget wiring."""
         t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k

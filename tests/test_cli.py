@@ -1,9 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
 
-from kcol3 import ParseError, complete_graph, cycle_graph, emit_dimacs_col
-from kcol3.cli import _read_witness, main
+import kcol3.cli
+from kcol3 import Coloring, ParseError, complete_graph, cycle_graph, emit_dimacs_col
+from kcol3.cli import _read_witness, _walk_witness, _write_witness, main
+from kcol3.graphs import _bulk_columns
 
 
 @pytest.fixture
@@ -148,6 +153,63 @@ def test_witness_errors(tmp_path, text):
     with pytest.raises(ParseError) as exc:
         _read_witness(str(path), 3, 3)
     assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
+
+
+# Layouts the line walker accepts other than the one _write_witness writes,
+# each read for n = 4, k = 3 to the coloring (2, 0, 1, 0).
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v\t1 2\nv 2\t0\nv 3 1\nv 4 0\n",
+        "v 1 2\r\nv 2 0\r\nv 3 1\r\nv 4 0\r\n",
+        "v 1  2\nv 2 0\nv 3 1\nv 4 0\n",
+        "  v 1 2\nv 2 0\nv 3 1\nv 4 0\n",
+        "v 1 2\nv 2 0\nv 3 1\nv 4 0",
+        "v 1 2\nv 2 0\nv 3 1\nv 4 0\n\n\n",
+        "v 1 2\nc between lines\nv 2 0\nv 3 1\nv 4 0\n",
+        "v +1 2\nv 2 0\nv 3 +1\nv 4 0_0\n",
+        "v 3 1\nv 1 2\nv 4 0\nv 2 0\n",
+    ],
+    ids=[
+        "tabs", "crlf", "double-space", "leading-spaces", "no-final-newline", "trailing-blank-lines",
+        "comment-between-lines", "plus-and-underscore", "out-of-order",
+    ],
+)
+def test_witness_other_layouts_by_walker(tmp_path, text):
+    canonical, path = tmp_path / "canonical.txt", tmp_path / "w.txt"
+    _write_witness(str(canonical), Coloring(3, (2, 0, 1, 0)))
+    assert _read_witness(str(canonical), 4, 3) == Coloring(3, (2, 0, 1, 0))
+    path.write_text(text, newline="")
+    assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), 4, 3) == (
+        Coloring(3, (2, 0, 1, 0)),
+        True,
+    )
+
+
+def test_written_witness_is_read_in_bulk(tmp_path):
+    """A format change that sends every written witness to the line walker fails here."""
+    path, coloring = tmp_path / "w.txt", Coloring(3, tuple(v * 7 % 3 for v in range(20000)))
+    _write_witness(str(path), coloring)
+    data = path.read_bytes()
+    blocks = list(_bulk_columns(data, 0, b"v"))
+    assert len(blocks) >= 3 and None not in blocks
+    assert [c for _, colors in blocks for c in colors] == list(coloring.assignment)
+    assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), 20000, 3) == (coloring, False)
+    # Any doubt in any block sends the whole text to the walker, which names the line.
+    for n, k, message, line in ((20001, 3, "witness missing vertex 20001", 1), (20000, 2, "color 2 out of range 0..1", 3)):
+        assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), n, k) == (
+            (f"line {line}: {message}", line),
+            True,
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.integers(0, 3), max_size=8), MUTATIONS, st.integers(0, 9), st.integers(1, 4))
+def test_witness_read_equals_walker_on_mutated_files(tmp_path_factory, colors, edits, n, k):
+    text = mutate("".join(f"v {v + 1} {c}\n" for v, c in enumerate(colors)), edits)
+    path = tmp_path_factory.getbasetemp() / "mutated-witness.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(_read_witness, str(path), n, k) == _outcome(_walk_witness, text.encode(), n, k)
 
 
 def test_solve_on_reduced_instance(tmp_path, k3_file):

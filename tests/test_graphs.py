@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import kcol3.graphs
 
 from kcol3 import (
     Coloring,
@@ -15,7 +18,9 @@ from kcol3 import (
     gen_gnp,
     is_proper_coloring,
     parse_dimacs_col,
+    reduce_to_3col,
 )
+from kcol3.graphs import _bulk_columns, _walk_dimacs_col
 
 
 def test_graph_canonicalizes_edges():
@@ -215,6 +220,94 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         parse_dimacs_col("c comment\np edge 2 1\ne 1 1\n")
     assert exc.value.line == 3
+
+
+def _outcome(read, *args):
+    """What a reader returns, or the message and line of the ParseError it raises."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _read_noting_walker(read, walker_name, owner, *args):
+    """`read(*args)`, and whether it handed the text to the line walker."""
+    walker = getattr(owner, walker_name)
+    with mock.patch.object(owner, walker_name, side_effect=walker) as spy:
+        return _outcome(read, *args), spy.called
+
+
+# Layouts the line walker accepts other than the one emit_dimacs_col
+# writes, each with whether the line walker reads it: the bulk path takes
+# only single-spaced `e <digits> <digits>` lines after a `p edge` line.
+@pytest.mark.parametrize(
+    "text, by_walker",
+    [
+        ("p\tedge 10 3\ne\t1 2\ne 1\t10\ne 2 4\n", True),
+        ("p edge 10 3\r\ne 1 2\r\ne 1 10\r\ne 2 4\r\n", True),
+        ("p edge 10 3\ne 1  2\ne 1 10\ne 2 4\n", True),
+        ("p edge 10 3\n  e 1 2\ne 1 10\ne 2 4\n", True),
+        (" p edge 10 3\ne 1 2\ne 1 10\ne 2 4\n", True),
+        ("p edge 10 3\ne 1 2\ne 1 10\ne 2 4", True),
+        ("p edge 10 3\ne 1 2\ne 1 10\ne 2 4\n\n\n", True),
+        ("p edge 10 3\ne 1 2\nc between edges\ne 1 10\ne 2 4\n", True),
+        ("c before the p line\np edge 10 3\ne 1 2\ne 1 10\ne 2 4\n", True),
+        ("p edge 10 3\ne +1 2\ne 1 1_0\ne 2 +4\n", True),
+        ("p edge 1_0 3\ne 1 2\ne 1 10\ne 2 4\n", True),
+        ("p edge 10 3\ne 2 1\ne 10 1\ne 4 2\n", False),
+        ("p edge 10 3\ne 1 2\ne 2 1\ne 1 10\ne 10 1\ne 2 4\ne 4 2\n", False),
+    ],
+    ids=[
+        "tabs", "crlf", "double-space", "leading-spaces", "leading-space-header", "no-final-newline",
+        "trailing-blank-lines", "comment-between-edges", "comment-before-header", "plus-and-underscore",
+        "underscore-in-header", "reversed-edges", "both-directions",
+    ],
+)
+def test_parse_other_layouts(text, by_walker):
+    expected = parse_dimacs_col("p edge 10 3\ne 1 2\ne 1 10\ne 2 4\n")
+    assert expected == Graph(10, ((0, 1), (0, 9), (1, 3)))
+    for data in (text, text.encode()):
+        assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, data) == (expected, by_walker)
+
+
+def test_emitted_col_is_read_in_bulk():
+    """A format change that sends every emitted file to the line walker fails here."""
+    gprime, _ = reduce_to_3col(gen_gnp(80, 0.1, 1), 5)
+    data = emit_dimacs_col(gprime).encode()
+    assert len(data) > 2 * kcol3.graphs._BULK_BLOCK  # three blocks at least
+    blocks = list(_bulk_columns(data, data.index(b"\n") + 1, b"e"))
+    assert len(blocks) >= 3 and None not in blocks
+    assert sum(len(us) for us, _ in blocks) == gprime.e
+    assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, data) == (gprime, False)
+    # A fault in the last block sends the whole text to the walker, which names the line.
+    faulty = data[: data.rindex(b"e ")] + b"e 3 3\n"
+    assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, faulty) == (
+        (f"line {gprime.e + 1}: self-loop at vertex 3", gprime.e + 1),
+        True,
+    )
+
+
+# Insert, delete or replace one character, a few times over: the characters
+# are the ones the DIMACS and witness formats give meaning to.
+_MUTATION_CHARS = " \t\r\nevcp-+_0123456789"
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from("idr"), st.integers(0, 200), st.sampled_from(_MUTATION_CHARS)), max_size=4
+)
+
+
+def mutate(text: str, edits) -> str:
+    for op, at, ch in edits:
+        at %= len(text) + 1
+        text = text[:at] + (ch if op != "d" else "") + text[at + (op != "i") :]
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.integers(0, 7), st.integers(0, 20), MUTATIONS, st.sampled_from([8, 64, 1 << 16]))
+def test_parse_equals_walker_on_mutated_files(n, seed, edits, block):
+    text = mutate(emit_dimacs_col(gen_gnp(n, 0.4, seed)), edits)
+    with mock.patch.object(kcol3.graphs, "_BULK_BLOCK", block):
+        assert _outcome(parse_dimacs_col, text) == _outcome(_walk_dimacs_col, text)
 
 
 def test_emit_k2():

@@ -6,6 +6,7 @@ import pytest
 
 from kcol3 import (
     Coloring,
+    GadgetInstance,
     Graph,
     InvariantViolation,
     ReductionMap,
@@ -22,6 +23,11 @@ from kcol3 import (
     size_report,
     solve,
 )
+
+
+def _gadget_log(rmap):
+    """(tag, GadgetInstance) for every gadget of the map, in construction order."""
+    return [(tag, GadgetInstance(*gadget)) for tag, gadget in zip(rmap._tags(), rmap._boundaries())]
 
 
 def test_k3_fixture_sizes():
@@ -62,7 +68,7 @@ def test_map_structure():
         for v in row:
             assert v not in seen
             seen.add(v)
-    for _, inst in rmap.gadget_log:
+    for _, inst in _gadget_log(rmap):
         for v in inst.internal:
             assert v not in seen
             seen.add(v)
@@ -72,7 +78,7 @@ def test_map_structure():
 def test_gadget_log_tags_cover_construction():
     g = complete_graph(3)
     _, rmap = reduce_to_3col(g, 3)
-    tags = [tag.split(":")[0] for tag, _ in rmap.gadget_log]
+    tags = [tag.split(":")[0] for tag, _ in _gadget_log(rmap)]
     assert tags.count("at-least-one") == g.n
     assert tags.count("at-most-one") == g.n * 3  # C(3,2) per vertex
     assert tags.count("edge-conflict") == g.e * 3
@@ -92,7 +98,7 @@ def test_gprime_columns_follow_the_gadget_log(k):
     t, f, r = rmap.t_vertex, rmap.f_vertex, rmap.r_vertex
     expected = [(t, f), (t, r), (f, r)]
     expected += [(v, r) for row in rmap.indicator for v in row]
-    expected += [edge for _, inst in rmap.gadget_log for edge in inst.added_edges]
+    expected += [edge for _, inst in _gadget_log(rmap) for edge in inst.added_edges]
     us, vs = rmap._columns()
     assert list(zip(us, vs)) == expected
 
@@ -102,7 +108,7 @@ def _document(rmap):
     to_json writes from templates and from_json checks record by record."""
     gadgets = [
         dict(tag=tag, boundary=list(g.boundary), internal_start=g.internal_start, internal_len=g.internal_len)
-        for tag, g in rmap.gadget_log
+        for tag, g in _gadget_log(rmap)
     ]
     return {**rmap._header(), "gadgets": gadgets}
 
@@ -307,7 +313,7 @@ def test_equivalence_small_sweep():
 def test_k2_chain_degenerates_legally():
     g = complete_graph(2)
     _, rmap = reduce_to_3col(g, 2)
-    chains = [inst for tag, inst in rmap.gadget_log if tag.startswith("at-least-one")]
+    chains = [inst for tag, inst in _gadget_log(rmap) if tag.startswith("at-least-one")]
     assert all(inst.internal_len == 2 for inst in chains)
 
 
