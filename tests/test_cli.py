@@ -3,12 +3,12 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
 
 import kcol3.cli
 from kcol3 import Coloring, ParseError, complete_graph, cycle_graph, emit_dimacs_col
 from kcol3.cli import _read_witness, _walk_witness, _write_witness, main
 from kcol3.graphs import _bulk_columns
+from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ def test_witness_errors(tmp_path, text):
         "comment-between-lines", "plus-and-underscore", "out-of-order",
     ],
 )
-def test_witness_other_layouts_by_walker(tmp_path, text):
+def test_witness_other_layouts(tmp_path, text):
     canonical, path = tmp_path / "canonical.txt", tmp_path / "w.txt"
     _write_witness(str(canonical), Coloring(3, (2, 0, 1, 0)))
     assert _read_witness(str(canonical), 4, 3) == Coloring(3, (2, 0, 1, 0))

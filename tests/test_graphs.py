@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcol3.graphs
-
 from kcol3 import (
     Coloring,
     Graph,
