@@ -179,6 +179,23 @@ def test_positive_budget_times_out_at_first_check():
     assert (outcome.status, outcome.witness, outcome.nodes) == ("timeout", None, 256)
 
 
+# Every SolveCounters field (decisions, forced, pair_prunes, backjumps,
+# max_depth) for G and G' of each PINNED_SEARCH_TREES case at k=3. A change
+# to the pair rule can leave node counts alone and still show here.
+PINNED_COUNTERS = {
+    "mycielskian(C7)": ((24, 58, 0, 0, 6), (144, 6288, 564, 0, 9)),
+    "gnp(60,0.05,1)": ((30, 30, 1, 0, 30), (249, 1206, 60, 0, 249)),
+    "gnp(30,0.147,5)": ((9, 21, 5, 0, 9), (150, 1742, 103, 2, 133)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTERS))
+def test_pinned_counters(name):
+    g = PINNED_SEARCH_TREES[name][0]()
+    gprime, _ = reduce_to_3col(g, 3)
+    assert tuple(tuple(solve(graph, 3).counters) for graph in (g, gprime)) == PINNED_COUNTERS[name]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SEARCH_TREES))
 def test_counters_account_for_every_node(name):
     g = PINNED_SEARCH_TREES[name][0]()
