@@ -119,8 +119,16 @@ def test_graph_equals_reference_loop_on_generated_input(n, edges):
 
 
 def test_coloring_rejects_out_of_palette():
-    with pytest.raises(ValueError):
-        Coloring(2, (0, 2))
+    # The message names the first vertex whose color is out of range.
+    for palette, assignment, message in [
+        (2, (0, 2), "vertex 1 has color 2 outside palette 0..1"),
+        (3, (0, 5, -1), "vertex 1 has color 5 outside palette 0..2"),
+        (3, (0, 1, -1, 7), "vertex 2 has color -1 outside palette 0..2"),
+        (1, [0, 0, 1], "vertex 2 has color 1 outside palette 0..0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Coloring(palette, assignment)
+        assert str(err.value) == message
 
 
 def test_is_proper_coloring_triangle():

@@ -318,7 +318,7 @@ def test_k2_chain_degenerates_legally():
 
 
 @pytest.mark.parametrize(
-    "g, k, col_sha, map_sha, lifted_sha",
+    "g, k, col_sha, map_sha, lifted_sha, source",
     [
         (
             gen_gnp(12, 0.3, 7),
@@ -326,6 +326,7 @@ def test_k2_chain_degenerates_legally():
             "9166fa17959b0aa87351f63c8751d01bae3066ffe0e08fabeeadcec1e58b739c",
             "291a758e4e2122843ec5b1a47f5d36ea4a90d18b637569880b7b322f9abe34c8",
             "4d2bdda5d6204364286fb12fc6b17e67677554a648cc04cfc5b9b9af66afa009",
+            (0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 2),
         ),
         (
             complete_graph(2),
@@ -333,14 +334,17 @@ def test_k2_chain_degenerates_legally():
             "23c0deb4352ff851fe3dd1c5c473b3f06daf37a6d8cd8b894072d576747c1b88",
             "f2e48ef726d053557bb44df8bedfd9a4d862428072a112dda2383889c5f15132",
             "89559ad61ea58e5d99345babb8b38b64506aefffe050bc8bc662349fe4e163d7",
+            (0, 1),
         ),
     ],
 )
-def test_output_bytes_are_pinned(g, k, col_sha, map_sha, lifted_sha):
+def test_output_bytes_are_pinned(g, k, col_sha, map_sha, lifted_sha, source):
     """The .col text, the sidecar and the lifted witness (in the CLI's
-    witness-file format) are byte-stable across refactors."""
+    witness-file format) are byte-stable across refactors. The source
+    witness is a literal, so a change to the solver's search cannot move
+    these bytes."""
     gprime, rmap = reduce_to_3col(g, k)
-    lifted = lift_witness(g, solve(g, k).witness, rmap)
+    lifted = lift_witness(g, Coloring(k, source), rmap)
     witness = "".join(f"v {v + 1} {c}\n" for v, c in enumerate(lifted.assignment))
 
     def sha(text):
