@@ -50,13 +50,13 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists, one per vertex."""
+        """Sorted neighbor lists, one per vertex. No sort is needed: the
+        edges are canonical and sorted, so each row gets its lower neighbors
+        in ascending order, then its higher ones."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for row in adj:
-            row.sort()
         return adj
 
 
@@ -70,10 +70,11 @@ class Coloring:
     def __post_init__(self):
         if self.palette_size < 1:
             raise ValueError(f"palette size must be positive, got {self.palette_size}")
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        for v, c in enumerate(self.assignment):
-            if not (0 <= c < self.palette_size):
-                raise ValueError(f"vertex {v} has color {c} outside palette 0..{self.palette_size - 1}")
+        a = tuple(self.assignment)
+        object.__setattr__(self, "assignment", a)
+        if a and not (min(a) >= 0 and max(a) < self.palette_size):
+            v, c = next((v, c) for v, c in enumerate(a) if not (0 <= c < self.palette_size))
+            raise ValueError(f"vertex {v} has color {c} outside palette 0..{self.palette_size - 1}")
 
     def __getitem__(self, v: int) -> int:
         return self.assignment[v]

@@ -17,7 +17,11 @@ The search uses:
   and its color pruned from its neighbors, all cascaded to a fixpoint
   after every decision;
 * symmetry breaking: the first decision is fixed to color 0 and new
-  colors are introduced in ascending order;
+  colors are introduced in ascending order, so no color above n - 1 is
+  ever used. A vertex has at most n - 1 neighbors, so with n + 2 colors
+  or more every domain keeps three: nothing is forced, the pair rule
+  never fires, and more colors change only the palette. The search runs
+  with min(k, n + 2) colors, not k-bit domains;
 * conflict-directed backjumping (Prosser 1993): every removal keeps its
   immediate cause (the colored vertex, or the pair behind a pair-rule
   prune). Only at a dead end are the causes walked back to the decisions
@@ -50,9 +54,9 @@ _FIXPOINT, _OUT_OF_TIME = -1, -2  # propagate's results besides a wiped-out vert
 
 
 class SolveCounters(NamedTuple):
-    """What one search did. Every coloring is a decision or forced, so
-    `decisions + forced` equals `SolveOutcome.nodes`. (A NamedTuple: a
-    frozen dataclass would add about 1.3 ms to importing the package.)"""
+    """What one search did. Every coloring is a decision or forced, and
+    `SolveOutcome.nodes` is their sum. (A NamedTuple: a frozen dataclass
+    would add about 1.3 ms to importing the package.)"""
 
     decisions: int = 0  # colors tried at a frame
     forced: int = 0  # vertices colored by propagation
@@ -65,9 +69,13 @@ class SolveCounters(NamedTuple):
 class SolveOutcome:
     status: str  # "colorable" | "uncolorable" | "timeout"
     witness: Coloring | None
-    nodes: int
     wall_time: float
     counters: SolveCounters = SolveCounters()
+
+    @property
+    def nodes(self) -> int:
+        """Vertices colored during the search, by decision or forced."""
+        return self.counters.decisions + self.counters.forced
 
 
 def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
@@ -77,22 +85,13 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     start = time.perf_counter()
     n = g.n
     if n == 0:
-        return SolveOutcome("colorable", Coloring(k, ()), 0, time.perf_counter() - start)
+        return SolveOutcome("colorable", Coloring(k, ()), time.perf_counter() - start)
     if budget <= 0:
-        return SolveOutcome("timeout", None, 0, 0.0)
+        return SolveOutcome("timeout", None, 0.0)
     adj = g.adjacency()
     adj_sets = [set(row) for row in adj]
-    common_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def common_neighbors(u: int, v: int) -> tuple[int, ...]:
-        key = (u, v) if u < v else (v, u)
-        hit = common_cache.get(key)
-        if hit is None:
-            hit = tuple(w for w in adj[u] if w in adj_sets[v])
-            common_cache[key] = hit
-        return hit
-
-    full = (1 << k) - 1
+    colors = min(k, n + 2)  # more change only the palette (module docstring)
+    full = (1 << colors) - 1
     domains = [full] * n
     assignment = [-1] * n
     # causes[v] holds (removed colors, cause) for every removal from v's
@@ -100,11 +99,11 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     # whose color was pruned, or the pair (v, w) behind a pair-rule prune.
     causes: list[list[tuple[int, int | tuple[int, int]]]] = [[] for _ in range(n)]
     decision_depth = [-1] * n  # frame index of a decided vertex, else -1
-    colored = nodes = forced = pair_prunes = 0
+    colored = decisions = forced = pair_prunes = 0
     # Holds (domain size, vertex) for every uncolored vertex with two or
     # more colors left, among stale entries: a push follows every shrink to
     # two or more colors and every undo.
-    heap = [(k, v) for v in range(n)]
+    heap = [(colors, v) for v in range(n)]
 
     def select() -> int:
         if len(heap) > 4 * n + 64:
@@ -123,7 +122,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         left to do. A vertex left with one color joins the list. Records
         every change on the trail. Returns _FIXPOINT, _OUT_OF_TIME or, on a
         dead end, the wiped-out vertex."""
-        nonlocal colored, nodes, forced, pair_prunes
+        nonlocal colored, forced, pair_prunes
         pairs: list[int] = []
         while pending:
             v = pending.pop()
@@ -135,8 +134,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                 trail.append(~v)
                 colored += 1
                 forced += 1
-                nodes += 1
-                if nodes % 256 == 0 and time.perf_counter() - start > budget:
+                if (decisions + forced) % 256 == 0 and time.perf_counter() - start > budget:
                     return _OUT_OF_TIME
             bit = 1 << assignment[v]
             for w in adj[v]:
@@ -160,9 +158,10 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                     continue
                 for w in adj[p]:
                     if assignment[w] < 0 and domains[w] == dom:
-                        for u in common_neighbors(p, w):
+                        near = adj_sets[w]
+                        for u in adj[p]:  # their common neighbors, in ascending order
                             removed = domains[u] & dom
-                            if removed and assignment[u] < 0:
+                            if removed and assignment[u] < 0 and u in near:
                                 pair_prunes += 1
                                 domains[u] ^= removed
                                 trail.append(u)
@@ -225,16 +224,16 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         """[vertex, untried candidate colors, colors used before it, trail,
         frame indices its dead ends so far rest on]."""
         v = select()
-        return [v, domains[v] & ((1 << min(k, used + 1)) - 1), used, [], set()]
+        return [v, domains[v] & ((1 << min(colors, used + 1)) - 1), used, [], set()]
 
-    decisions = backjumps = max_depth = 0
+    backjumps = max_depth = 0
 
     def outcome(status: str, witness: Coloring | None = None) -> SolveOutcome:
         counters = SolveCounters(decisions, forced, pair_prunes, backjumps, max_depth)
-        return SolveOutcome(status, witness, nodes, time.perf_counter() - start, counters)
+        return SolveOutcome(status, witness, time.perf_counter() - start, counters)
 
     # With one color every vertex is forced before any decision.
-    result = propagate(list(range(n)), []) if k == 1 else _FIXPOINT
+    result = propagate(list(range(n)), []) if colors == 1 else _FIXPOINT
     if result == _OUT_OF_TIME:
         return outcome("timeout")
     stack = [frame(0)] if result == _FIXPOINT and colored < n else []
@@ -250,7 +249,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
             # on. Colors missing from v's domain rest on their removals;
             # colors held back by symmetry breaking rest on every frame.
             conflict |= explain(v)
-            if domains[v] >> min(k, used + 1):
+            if domains[v] >> min(colors, used + 1):
                 conflict.update(range(depth))
             if not conflict:  # no decision to take back: uncolorable
                 break
@@ -267,8 +266,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         top[1] = candidates ^ bit
         color = bit.bit_length() - 1
         decisions += 1
-        nodes += 1
-        if nodes % 256 == 0 and time.perf_counter() - start > budget:
+        if (decisions + forced) % 256 == 0 and time.perf_counter() - start > budget:
             return outcome("timeout")
         assignment[v] = color
         decision_depth[v] = depth

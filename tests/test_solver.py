@@ -1,6 +1,9 @@
+import ast
 import hashlib
 import sys
+import tracemalloc
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from kcol3 import (
     reduce_to_3col,
     solve,
 )
+from kcol3 import solver
 
 
 def brute_force_colorable(g: Graph, k: int) -> bool:
@@ -227,3 +231,47 @@ def test_agreement_on_dense_n8_draws():
     for seed in range(40):
         g = gen_gnp(8, 0.5 + 0.05 * (seed % 5), seed)
         assert decide(g, 3) == brute_force_colorable(g, 3), seed
+
+
+def test_huge_palette_costs_no_k_bit_domains():
+    # A k-bit domain per vertex took an 8 MB traced peak here.
+    g = gen_gnp(60, 0.3, 1)
+    tracemalloc.start()
+    try:
+        outcome = solve(g, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "colorable" and outcome.witness.palette_size == 10**6
+    assert is_proper_coloring(g, outcome.witness)
+    assert peak < 1 << 20
+
+
+def test_palette_beyond_n_plus_two_changes_only_the_palette():
+    sources = [build() for build, *_ in PINNED_SEARCH_TREES.values()]
+    for g in sources + [gen_gnp(12, 0.9, seed) for seed in range(3)]:
+        small, large = solve(g, g.n + 2), solve(g, g.n + 9)
+        assert (small.status, small.counters, small.witness.assignment) == (
+            large.status,
+            large.counters,
+            large.witness.assignment,
+        )
+        assert (small.witness.palette_size, large.witness.palette_size) == (g.n + 2, g.n + 9)
+
+
+def test_solver_imports_only_errors_and_graphs_from_the_package():
+    # The solver is the oracle for every equivalence test: it must share no
+    # code with the reduction or the SAT route.
+    tree = ast.parse(Path(solver.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module is None:
+                imported.update(dots + alias.name for alias in node.names)
+            else:
+                imported.add(dots + node.module)
+    inside = {name for name in imported if name.startswith(".") or name.split(".")[0] == "kcol3"}
+    assert inside == {".errors", ".graphs"}
