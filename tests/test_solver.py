@@ -234,7 +234,7 @@ def test_agreement_on_dense_n8_draws():
 
 
 def test_huge_palette_costs_no_k_bit_domains():
-    # A k-bit domain per vertex took an 8 MB traced peak here.
+    # One k-bit domain per vertex would need about 8 MB here.
     g = gen_gnp(60, 0.3, 1)
     tracemalloc.start()
     try:
