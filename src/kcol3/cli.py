@@ -10,6 +10,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -160,6 +161,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; every caller shares it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kcol3", description="k-colorability to 3-colorability reduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -208,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ConstructionError, ValueError, OSError) as exc:

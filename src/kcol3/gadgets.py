@@ -75,24 +75,28 @@ class GadgetInstance:
     @property
     def added_edges(self) -> tuple[tuple[int, int], ...]:
         """The 5(arity - 1) edges, link by link, each pair (lower, higher)."""
-        return tuple(zip(*_link_columns(_chain_links(self.boundary, self.internal_start))))
+        return tuple(zip(*_link_columns(*_chain_links(((self.boundary, self.internal_start),)))))
 
 
-def _chain_links(boundary, start: int):
-    """(previous output, input, output, a) for each link of the chain
-    gadget on `boundary` whose internals start at `start`; the link's b is
-    a + 1. Every link but the last outputs a fresh y numbered just below
-    its a and b, so every edge `_link_columns` makes is (lower, higher)."""
-    if len(boundary) == 3:  # the base gadget, most of G': one link, built without ranges
-        return ((*boundary, start),)
-    ys = range(start, start + 3 * len(boundary) - 9, 3)
-    return zip((boundary[0], *ys), boundary[1:-1], (*ys, boundary[-1]), (*range(start + 1, ys.stop, 3), ys.stop))
+def _chain_links(chains) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Columns (previous output, input, output, a) of every link of the
+    chain gadgets given as (boundary, internal_start); b is a + 1. Every
+    link but a chain's last outputs a fresh y numbered just below its a and
+    b, so every edge `_link_columns` makes is (lower, higher)."""
+    prev, inputs, out, a = [], [], [], []
+    for boundary, start in chains:
+        ys = range(start, start + 3 * len(boundary) - 9, 3)
+        prev += (boundary[0], *ys)
+        inputs += boundary[1:-1]
+        out += (*ys, boundary[-1])
+        a += (*range(start + 1, ys.stop, 3), ys.stop)
+    return prev, inputs, out, a
 
 
-def _link_columns(links) -> tuple[list[int], list[int]]:
+def _link_columns(prev, inputs, out, a) -> tuple[list[int], list[int]]:
     """Endpoint columns of the five edges (prev, a), (input, b), (a, b),
-    (output, a), (output, b) of every link, link by link."""
-    prev, inputs, out, a = tuple(zip(*links)) or ((),) * 4
+    (output, a), (output, b) of every link, link by link, from the links'
+    columns (sequences of one length); b is a + 1."""
     b = [v + 1 for v in a]
     us, vs = [0] * (5 * len(a)), [0] * (5 * len(a))
     us[0::5], us[1::5], us[2::5], us[3::5], us[4::5] = prev, inputs, a, out, out

@@ -13,15 +13,17 @@ in this fixed order:
    across an edge).
 
 Each gadget's internals follow the previous gadget's. A ReductionMap stores
-(k, n, source edges) and derives the layout from them on demand.
+(k, n, source edges) and derives the layout from them on demand: the n
+chains one by one, and blocks 4 and 5, whose gadgets are all base gadgets
+(x, y, F) with two internals each, as two columns filled by strided slices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat, starmap
-from operator import eq, ne
+from itertools import chain, combinations, repeat
+from operator import add, eq, ne
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
@@ -70,17 +72,31 @@ class ReductionMap:
         k = self.k
         return tuple(range(3 + i * k, 3 + (i + 1) * k) for i in range(self.n))
 
+    def _chains(self):
+        """(boundary, internal_start) of each at-least-one chain: a row of
+        indicators into T, with 3k - 4 internals."""
+        start, step = 3 + self.n * self.k, 3 * self.k - 4
+        return zip(((*row, self.t_vertex) for row in self.indicator), range(start, start + self.n * step, step))
+
+    def _base_gadgets(self) -> tuple[int, list[int], list[int]]:
+        """(start, xs, ys): the i-th at-most-one or edge-conflict gadget is
+        (xs[i], ys[i], F), with internals start + 2i and start + 2i + 1."""
+        k, n, pairs = self.k, self.n, self.k * (self.k - 1) // 2
+        xs, ys = [0] * (n * pairs + k * self.e), [0] * (n * pairs + k * self.e)
+        for p, (j1, j2) in enumerate(combinations(range(k), 2) if n else ()):  # no k^2 walk when n = 0
+            xs[p : n * pairs : pairs] = range(3 + j1, 3 + n * k, k)
+            ys[p : n * pairs : pairs] = range(3 + j2, 3 + n * k, k)
+        if self.edges:
+            us, vs = [3 + k * u for u, _ in self.edges], [3 + k * v for _, v in self.edges]
+            for c in range(k):
+                xs[n * pairs + c :: k] = map(c.__add__, us)
+                ys[n * pairs + c :: k] = map(c.__add__, vs)
+        return 3 + n * (4 * k - 4), xs, ys
+
     def _boundaries(self):
-        """Yield (boundary, internal_start) for every gadget in construction order."""
-        k, t, f, ind = self.k, self.t_vertex, self.f_vertex, self.indicator
-        pos = 3 + self.n * k
-        for boundary in chain(
-            ((*row, t) for row in ind),
-            ((row[j1], row[j2], f) for row in ind for j1, j2 in combinations(range(k), 2)),
-            ((ind[u][c], ind[v][c], f) for u, v in self.edges for c in range(k)),
-        ):
-            yield boundary, pos
-            pos += 3 * len(boundary) - 7
+        """(boundary, internal_start) for every gadget in construction order."""
+        start, xs, ys = self._base_gadgets()
+        return chain(self._chains(), zip(zip(xs, ys, repeat(self.f_vertex)), range(start, start + 2 * len(xs), 2)))
 
     def _tags(self):
         """The sidecar tag of every gadget, in the order of `_boundaries`."""
@@ -93,7 +109,10 @@ class ReductionMap:
     def _columns(self) -> tuple[list[int], list[int]]:
         """G' as two endpoint columns: palette triangle, indicators to R, then the gadget wiring."""
         t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k
-        us, vs = _link_columns(chain.from_iterable(starmap(_chain_links, self._boundaries())))
+        prev, inputs, out, a = _chain_links(self._chains())
+        start, xs, ys = self._base_gadgets()
+        a += range(start, start + 2 * len(xs), 2)
+        us, vs = _link_columns(prev + xs, inputs + ys, out + [f] * len(xs), a)
         return [t, t, f, *range(3, 3 + m), *us], [f, r, r, *repeat(r, m), *vs]
 
     def reconstruct_graph(self) -> Graph:
@@ -198,18 +217,27 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
         raise ValueError("input coloring is not a proper coloring of the source graph")
     assign = [-1] * formula_vertices(rmap.n, rmap.e, rmap.k)
     assign[rmap.t_vertex], assign[rmap.f_vertex], assign[rmap.r_vertex] = 0, 1, 2
-    for i, row in enumerate(rmap.indicator):
-        for j, v in enumerate(row):
-            assign[v] = 0 if c[i] == j else 1
+    f_row = [1] * rmap.k
+    for row, color in zip(rmap.indicator, c.assignment):
+        assign[row.start : row.stop] = f_row
+        assign[row[color]] = 0
     # An extension depends only on the arity and the boundary colors,
     # both of which the key holds.
     extensions: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for boundary, start in rmap._boundaries():
+    for boundary, start in rmap._chains():
         colors = tuple(map(assign.__getitem__, boundary))
         fill = extensions.get(colors)
         if fill is None:
             fill = extensions[colors] = tuple(extend_coloring(GadgetInstance(boundary, start), colors).values())
         assign[start : start + len(fill)] = fill
+    # A base gadget's output is F, so 3·color(x) + color(y) keys its fill.
+    start, xs, ys = rmap._base_gadgets()
+    keys = list(map(add, map((3).__mul__, map(assign.__getitem__, xs)), map(assign.__getitem__, ys)))
+    template, a_fill, b_fill = GadgetInstance((0, 1, 2), 3), {}, {}
+    for key in set(keys):
+        a_fill[key], b_fill[key] = extend_coloring(template, (key // 3, key % 3, assign[rmap.f_vertex])).values()
+    assign[start::2] = map(a_fill.__getitem__, keys)
+    assign[start + 1 :: 2] = map(b_fill.__getitem__, keys)
     lifted = Coloring(3, tuple(assign))
     if not _is_proper_on_gprime(rmap, lifted):
         raise InvariantViolation("lifted coloring is not proper; construction bug")
@@ -224,13 +252,13 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
         raise ValueError("projection expects a 3-color witness")
     if not _is_proper_on_gprime(rmap, c3):
         raise ValueError("input is not a proper 3-coloring of the reduced graph")
-    t_color = c3[rmap.t_vertex]
+    a, t_color = c3.assignment, c3[rmap.t_vertex]
     assign = []
     for i, row in enumerate(rmap.indicator):
-        hits = [j for j, v in enumerate(row) if c3[v] == t_color]
-        if len(hits) != 1:
-            raise InvariantViolation(f"source vertex {i} has {len(hits)} indicators colored T")
-        assign.append(hits[0])
+        colors = a[row.start : row.stop]
+        if colors.count(t_color) != 1:
+            raise InvariantViolation(f"source vertex {i} has {colors.count(t_color)} indicators colored T")
+        assign.append(colors.index(t_color))
     projected = Coloring(rmap.k, tuple(assign))
     if g is not None and not is_proper_coloring(g, projected):
         raise InvariantViolation("projected coloring is not proper; construction bug")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, product, repeat, starmap
+from itertools import product, repeat
 
 from .errors import InvariantViolation, ParseError
 from .gadgets import _chain_links, _link_columns
@@ -106,7 +106,7 @@ def encode_cnf_as_3col(f: CnfFormula) -> tuple[Graph, CnfGraphMap]:
             outs.append(n)
             chains.append(((*lits, n), n + 1))
             n += 3 * len(lits) - 3
-    us, vs = _link_columns(chain.from_iterable(starmap(_chain_links, chains)))
+    us, vs = _link_columns(*_chain_links(chains))
     us = [t, t, fv, *pos, *pos, *neg, *outs, *outs, *us]
     vs = [fv, bv, bv, *neg, *repeat(bv, 2 * f.var_count), *repeat(fv, len(outs)), *repeat(bv, len(outs)), *vs]
     return Graph(n, tuple(zip(us, vs))), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))

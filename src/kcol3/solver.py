@@ -6,8 +6,9 @@ The search uses:
 
 * most-constrained-vertex-first ordering (fewest remaining feasible
   colors, ties broken by lowest index), read in O(log n) off a heap of
-  (domain size, vertex) entries whose stale entries are dropped lazily,
-  rebuilt from the uncolored vertices past 4n + 64 entries;
+  int keys size << n.bit_length() | vertex, ordered as (size, vertex)
+  pairs, whose stale entries are dropped lazily, rebuilt from the
+  uncolored vertices past 4n + 64 entries;
 * forward pruning of uncolored neighbors' color sets;
 * a pair-propagation rule: two adjacent uncolored vertices sharing the
   same two-color domain must use both colors, so their common neighbors
@@ -24,9 +25,10 @@ The search uses:
   with min(k, n + 2) colors, not k-bit domains;
 * conflict-directed backjumping (Prosser 1993): every removal keeps its
   immediate cause (the colored vertex, or the pair behind a pair-rule
-  prune). Only at a dead end are the causes walked back to the decisions
-  they rest on, and an exhausted decision jumps back to the deepest of
-  those, skipping decisions that played no part.
+  prune) after the removed colors in a flat per-vertex list. Only at a
+  dead end are the causes walked back to the decisions they rest on, and
+  an exhausted decision jumps back to the deepest of those, skipping
+  decisions that played no part.
 
 The search loops over an explicit stack with one frame per decision, a
 vertex with two or more colors left, so it neither recurses nor touches
@@ -94,24 +96,26 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     full = (1 << colors) - 1
     domains = [full] * n
     assignment = [-1] * n
-    # causes[v] holds (removed colors, cause) for every removal from v's
-    # domain still in effect, oldest first; a cause is the colored vertex
+    # causes[v] alternates removed colors and cause for every removal from
+    # v's domain still in effect, oldest first; a cause is the colored vertex
     # whose color was pruned, or the pair (v, w) behind a pair-rule prune.
-    causes: list[list[tuple[int, int | tuple[int, int]]]] = [[] for _ in range(n)]
+    causes: list[list[int | tuple[int, int]]] = [[] for _ in range(n)]
     decision_depth = [-1] * n  # frame index of a decided vertex, else -1
     colored = decisions = forced = pair_prunes = 0
-    # Holds (domain size, vertex) for every uncolored vertex with two or
-    # more colors left, among stale entries: a push follows every shrink to
-    # two or more colors and every undo.
-    heap = [(colors, v) for v in range(n)]
+    # Holds domain size << shift | vertex for every uncolored vertex with
+    # two or more colors left, among stale entries: a push follows every
+    # shrink to two or more colors and every undo.
+    shift, mask = n.bit_length(), (1 << n.bit_length()) - 1
+    heap = [colors << shift | v for v in range(n)]
 
     def select() -> int:
         if len(heap) > 4 * n + 64:
-            heap[:] = [(domains[v].bit_count(), v) for v in range(n) if assignment[v] < 0]
+            heap[:] = [domains[v].bit_count() << shift | v for v in range(n) if assignment[v] < 0]
             heapify(heap)
         while True:
-            size, v = heap[0]
-            if assignment[v] < 0 and domains[v].bit_count() == size:
+            top = heap[0]
+            v = top & mask
+            if assignment[v] < 0 and domains[v].bit_count() == top >> shift:
                 return v
             heappop(heap)
 
@@ -141,12 +145,14 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                 if assignment[w] < 0 and domains[w] & bit:
                     domains[w] ^= bit
                     trail.append(w)
-                    causes[w].append((bit, v))
+                    removals = causes[w]
+                    removals.append(bit)
+                    removals.append(v)
                     size = domains[w].bit_count()
                     if size == 1:
                         pending.append(w)
                     elif size:
-                        heappush(heap, (size, w))
+                        heappush(heap, size << shift | w)
                         if size == 2:
                             pairs.append(w)
                     else:
@@ -165,12 +171,12 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                                 pair_prunes += 1
                                 domains[u] ^= removed
                                 trail.append(u)
-                                causes[u].append((removed, (p, w)))
+                                causes[u] += removed, (p, w)
                                 size = domains[u].bit_count()
                                 if size == 1:
                                     pending.append(u)
                                 elif size:
-                                    heappush(heap, (size, u))
+                                    heappush(heap, size << shift | u)
                                     if size == 2:
                                         pairs.append(u)
                                 else:
@@ -184,9 +190,10 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         v, trail = frame[0], frame[3]
         for x in reversed(trail):
             if x >= 0:
-                removed, _ = causes[x].pop()
-                domains[x] |= removed
-                heappush(heap, (domains[x].bit_count(), x))
+                removals = causes[x]
+                removals.pop()
+                domains[x] |= removals.pop()
+                heappush(heap, domains[x].bit_count() << shift | x)
             else:
                 assignment[~x] = -1
                 colored -= 1
@@ -194,7 +201,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         assignment[v] = -1
         decision_depth[v] = -1
         colored -= 1
-        heappush(heap, (domains[v].bit_count(), v))
+        heappush(heap, domains[v].bit_count() << shift | v)
 
     def explain(v: int) -> set[int]:
         """Frame indices of the decisions behind every removal from v's
@@ -205,7 +212,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         seen = {v}
         todo = [v]
         while todo:
-            for _, cause in causes[todo.pop()]:
+            for cause in causes[todo.pop()][1::2]:
                 if type(cause) is int:
                     depth = decision_depth[cause]
                     if depth >= 0:

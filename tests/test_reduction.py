@@ -1,8 +1,11 @@
 import hashlib
 import json
 import tracemalloc
+from itertools import chain, combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcol3 import (
     Coloring,
@@ -13,6 +16,7 @@ from kcol3 import (
     complete_graph,
     decide,
     emit_dimacs_col,
+    extend_coloring,
     formula_edges,
     formula_vertices,
     gen_gnp,
@@ -101,6 +105,76 @@ def test_gprime_columns_follow_the_gadget_log(k):
     expected += [edge for _, inst in _gadget_log(rmap) for edge in inst.added_edges]
     us, vs = rmap._columns()
     assert list(zip(us, vs)) == expected
+
+
+def _reference_boundaries(rmap):
+    """(boundary, internal_start) of every gadget, walked one gadget at a
+    time: the reference for the closed-form chain and base-gadget blocks."""
+    k, t, f, ind = rmap.k, rmap.t_vertex, rmap.f_vertex, rmap.indicator
+    pos = 3 + rmap.n * k
+    for boundary in chain(
+        ((*row, t) for row in ind),
+        ((row[j1], row[j2], f) for row in ind for j1, j2 in combinations(range(k), 2)),
+        ((ind[u][c], ind[v][c], f) for u, v in rmap.edges for c in range(k)),
+    ):
+        yield boundary, pos
+        pos += 3 * len(boundary) - 7
+
+
+def _reference_edges(rmap):
+    """G''s edges in layout order, each gadget wired link by link: a link
+    allocates its output y (the last outputs z), then its a and b."""
+    t, f, r = rmap.t_vertex, rmap.f_vertex, rmap.r_vertex
+    edges = [(t, f), (t, r), (f, r)] + [(v, r) for row in rmap.indicator for v in row]
+    for (*inputs, z), pos in _reference_boundaries(rmap):
+        prev = inputs[0]
+        for i in range(1, len(inputs)):
+            if i == len(inputs) - 1:
+                out = z
+            else:
+                out, pos = pos, pos + 1
+            a, b, pos = pos, pos + 1, pos + 2
+            edges += ((prev, a), (inputs[i], b), (a, b), (out, a), (out, b))
+            prev = out
+    return edges
+
+
+def _reference_lift(c, rmap):
+    """lift_witness's coloring, built gadget by gadget."""
+    assign = [-1] * formula_vertices(rmap.n, rmap.e, rmap.k)
+    assign[rmap.t_vertex], assign[rmap.f_vertex], assign[rmap.r_vertex] = 0, 1, 2
+    for i, row in enumerate(rmap.indicator):
+        for j, v in enumerate(row):
+            assign[v] = 0 if c[i] == j else 1
+    for boundary, start in _reference_boundaries(rmap):
+        fill = extend_coloring(GadgetInstance(boundary, start), tuple(assign[v] for v in boundary))
+        for v, color in fill.items():
+            assign[v] = color
+    return Coloring(3, tuple(assign))
+
+
+@st.composite
+def _colored_graphs(draw):
+    """(k, n, a k-coloring of n vertices, a source graph it colors properly)."""
+    k, n = draw(st.integers(2, 6)), draw(st.integers(0, 7))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if colors[u] != colors[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return k, n, colors, Graph(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_colored_graphs())
+@example((2, 0, [], Graph(0, ())))
+@example((2, 3, [0, 1, 0], Graph(3, ())))
+@example((2, 4, [0, 1, 0, 1], Graph(4, ((0, 1), (1, 2), (2, 3)))))
+def test_layout_and_lift_equal_the_per_gadget_reference(case):
+    k, n, colors, g = case
+    rmap = ReductionMap(k, n, g.edges)
+    assert list(rmap._boundaries()) == list(_reference_boundaries(rmap))
+    assert list(zip(*rmap._columns())) == _reference_edges(rmap)
+    c = Coloring(k, colors)
+    assert lift_witness(g, c, rmap) == _reference_lift(c, rmap)
 
 
 def _document(rmap):
