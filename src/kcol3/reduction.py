@@ -82,15 +82,16 @@ class ReductionMap:
         """(start, xs, ys): the i-th at-most-one or edge-conflict gadget is
         (xs[i], ys[i], F), with internals start + 2i and start + 2i + 1."""
         k, n, pairs = self.k, self.n, self.k * (self.k - 1) // 2
+        ind = list(range(3, 3 + n * k))  # one int object per indicator, shared by both columns
         xs, ys = [0] * (n * pairs + k * self.e), [0] * (n * pairs + k * self.e)
         for p, (j1, j2) in enumerate(combinations(range(k), 2) if n else ()):  # no k^2 walk when n = 0
-            xs[p : n * pairs : pairs] = range(3 + j1, 3 + n * k, k)
-            ys[p : n * pairs : pairs] = range(3 + j2, 3 + n * k, k)
+            xs[p : n * pairs : pairs] = ind[j1::k]
+            ys[p : n * pairs : pairs] = ind[j2::k]
         if self.edges:
-            us, vs = [3 + k * u for u, _ in self.edges], [3 + k * v for _, v in self.edges]
+            us, vs = [k * u for u, _ in self.edges], [k * v for _, v in self.edges]
             for c in range(k):
-                xs[n * pairs + c :: k] = map(c.__add__, us)
-                ys[n * pairs + c :: k] = map(c.__add__, vs)
+                xs[n * pairs + c :: k] = map(ind.__getitem__, map(c.__add__, us))
+                ys[n * pairs + c :: k] = map(ind.__getitem__, map(c.__add__, vs))
         return 3 + n * (4 * k - 4), xs, ys
 
     def _boundaries(self):
@@ -217,9 +218,8 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
         raise ValueError("input coloring is not a proper coloring of the source graph")
     assign = [-1] * formula_vertices(rmap.n, rmap.e, rmap.k)
     assign[rmap.t_vertex], assign[rmap.f_vertex], assign[rmap.r_vertex] = 0, 1, 2
-    f_row = [1] * rmap.k
     for row, color in zip(rmap.indicator, c.assignment):
-        assign[row.start : row.stop] = f_row
+        assign[row.start : row.stop] = [1] * rmap.k
         assign[row[color]] = 0
     # An extension depends only on the arity and the boundary colors,
     # both of which the key holds.
