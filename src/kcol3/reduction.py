@@ -230,7 +230,7 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
         if fill is None:
             fill = extensions[colors] = tuple(extend_coloring(GadgetInstance(boundary, start), colors).values())
         assign[start : start + len(fill)] = fill
-    # A base gadget's output is F, so 3·color(x) + color(y) keys its fill.
+    # A base gadget's output is F, so 3 * color(x) + color(y) keys its fill.
     start, xs, ys = rmap._base_gadgets()
     keys = list(map(add, map((3).__mul__, map(assign.__getitem__, xs)), map(assign.__getitem__, ys)))
     template, a_fill, b_fill = GadgetInstance((0, 1, 2), 3), {}, {}
