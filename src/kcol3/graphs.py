@@ -8,8 +8,8 @@ canonical pairs (u, v) with u < v, deduplicated, no self-loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, starmap
-from operator import eq, itemgetter, ne
+from itertools import groupby, islice, starmap
+from operator import eq, itemgetter, lt, ne
 
 from .errors import ParseError
 
@@ -27,7 +27,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1. `edges`, any iterable of pairs, is read once. Its pairs
+    are re-made only unless all are 2-tuples (u, v) with u < v, as every layout here gives them, and deduplicated
+    only when some pair repeats."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -36,14 +38,19 @@ class Graph:
         n = self.n
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
-        pairs = sorted([(u, v) if u < v else (v, u) for u, v in self.edges])
+        items = list(self.edges)  # the input may be a one-shot iterator
+        oriented = set(map(type, items)) <= {tuple} and set(map(len, items)) <= {2} and all(starmap(lt, items))
+        pairs = items.copy() if oriented else [(u, v) if u < v else (v, u) for u, v in items]
+        pairs.sort()  # items keeps the input order for the error below
         # Sorted and oriented, the first pair holds the smallest endpoint.
         if pairs and not (pairs[0][0] >= 0 and max(map(itemgetter(1), pairs)) < n and all(starmap(ne, pairs))):
-            u, v = next((u, v) for u, v in self.edges if u == v or not (0 <= u < n and 0 <= v < n))
+            u, v = next((u, v) for u, v in items if u == v or not (0 <= u < n and 0 <= v < n))
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        object.__setattr__(self, "edges", tuple(map(itemgetter(0), groupby(pairs))))
+        if not all(map(lt, pairs, islice(pairs, 1, None))):  # some pair repeats
+            pairs = map(itemgetter(0), groupby(pairs))
+        object.__setattr__(self, "edges", tuple(pairs))
 
     @property
     def e(self) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import add, eq, ne
 
@@ -107,21 +108,23 @@ class ReductionMap:
             (f"edge-conflict:{u}:{v}:{c}" for u, v in self.edges for c in range(self.k)),
         )
 
+    @cached_property
     def _columns(self) -> tuple[list[int], list[int]]:
-        """G' as two endpoint columns: palette triangle, indicators to R, then the gadget wiring."""
+        """G' as two endpoint columns of (lower, higher) edges: palette triangle, R to the indicators, then the
+        gadget wiring. Built once per map and shared by its callers, which must not mutate the lists."""
         t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k
         prev, inputs, out, a = _chain_links(self._chains())
         start, xs, ys = self._base_gadgets()
         a += range(start, start + 2 * len(xs), 2)
         us, vs = _link_columns(prev + xs, inputs + ys, out + [f] * len(xs), a)
-        return [t, t, f, *range(3, 3 + m), *us], [f, r, r, *repeat(r, m), *vs]
+        return [t, t, f, *repeat(r, m), *us], [f, r, r, *range(3, 3 + m), *vs]
 
     def reconstruct_graph(self) -> Graph:
         """Rebuild the reduced graph from the map alone. Every vertex of G'
-        has an edge, so the largest endpoint + 1 is the layout's own vertex
-        count, which reduce_to_3col checks against the closed form."""
-        us, vs = self._columns()
-        return Graph(max(max(us), max(vs)) + 1, tuple(zip(us, vs)))
+        has an edge, so the largest higher endpoint + 1 is the layout's own
+        vertex count, which reduce_to_3col checks against the closed form."""
+        us, vs = self._columns
+        return Graph(max(vs) + 1, zip(us, vs))
 
     def _header(self) -> dict:
         return {
@@ -203,7 +206,7 @@ def _is_proper_on_gprime(rmap: ReductionMap, c: Coloring) -> bool:
     a, n = c.assignment, formula_vertices(rmap.n, rmap.e, rmap.k)
     if len(a) != n:
         raise ValueError(f"coloring covers {len(a)} vertices, reduced graph has {n}")
-    us, vs = rmap._columns()
+    us, vs = rmap._columns
     return all(map(ne, map(a.__getitem__, us), map(a.__getitem__, vs)))
 
 

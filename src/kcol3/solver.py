@@ -12,7 +12,7 @@ The search uses:
 * forward pruning of uncolored neighbors' color sets;
 * a pair-propagation rule: two adjacent uncolored vertices sharing the
   same two-color domain must use both colors, so their common neighbors
-  lose both;
+  lose both, found by stamping one's neighbors in a list of marks;
 * forced colorings inside propagation: a vertex left with one color is
   put on a work list, colored when it is taken off (last in, first out),
   and its color pruned from its neighbors, all cascaded to a fixpoint
@@ -91,7 +91,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     if budget <= 0:
         return SolveOutcome("timeout", None, 0.0)
     adj = g.adjacency()
-    adj_sets = [set(row) for row in adj]
+    mark = [-1] * n  # mark[x] == w: x is a neighbor of w, stamped by the pair rule
     colors = min(k, n + 2)  # more change only the palette (module docstring)
     full = (1 << colors) - 1
     domains = [full] * n
@@ -164,10 +164,11 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                     continue
                 for w in adj[p]:
                     if assignment[w] < 0 and domains[w] == dom:
-                        near = adj_sets[w]
+                        for x in adj[w]:  # the graph never changes, so a stamp stays true
+                            mark[x] = w
                         for u in adj[p]:  # their common neighbors, in ascending order
                             removed = domains[u] & dom
-                            if removed and assignment[u] < 0 and u in near:
+                            if removed and assignment[u] < 0 and mark[u] == w:
                                 pair_prunes += 1
                                 domains[u] ^= removed
                                 trail.append(u)

@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcol3.cli
+import kcol3.reduction
 from kcol3 import Coloring, ParseError, complete_graph, cycle_graph, emit_dimacs_col
 from kcol3.cli import _read_witness, _walk_witness, _write_witness, main
 from kcol3.graphs import _bulk_columns
@@ -220,6 +222,13 @@ def test_solve_on_reduced_instance(tmp_path, k3_file):
 
 def test_roundtrip_colorable(k3_file):
     assert main(["roundtrip", "--k", "3", "--input", str(k3_file)]) == 0
+
+
+def test_roundtrip_builds_gprime_columns_once(k3_file):
+    # reduce, lift and both projections share the map's cached columns
+    with mock.patch.object(kcol3.reduction, "_link_columns", wraps=kcol3.reduction._link_columns) as link_columns:
+        assert main(["roundtrip", "--k", "3", "--input", str(k3_file)]) == 0
+    assert link_columns.call_count == 1
 
 
 def test_roundtrip_uncolorable(k4_file):

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcol3.graphs
+import kcol3.sat_route
 from kcol3 import (
+    CnfFormula,
     Coloring,
+    GadgetInstance,
     Graph,
     ParseError,
     ReductionMap,
     complete_graph,
     emit_dimacs_col,
+    encode_cnf_as_3col,
+    encode_col_as_cnf,
     formula_vertices,
     gen_gnp,
     is_proper_coloring,
@@ -35,6 +40,62 @@ def test_graph_rejects_self_loop_and_range():
         Graph(3, ((0, 3),))
 
 
+# One-shot inputs: the first bad edge, in input order and orientation, is
+# named from the materialized input, whether or not the pairs are oriented.
+@pytest.mark.parametrize(
+    "us, vs, message",
+    [
+        pytest.param([0, 1], [1, 1], "self-loop at vertex 1", id="self-loop"),
+        pytest.param([0, 5, 2], [1, 0, 9], "edge (5,0) out of range for n=3", id="out-of-range"),
+        pytest.param([0, 1, 0], [1, 7, 5], "edge (1,7) out of range for n=3", id="oriented-out-of-range"),
+    ],
+)
+@pytest.mark.parametrize(
+    "one_shot",
+    [zip, lambda us, vs: ((u, v) for u, v in zip(us, vs)), lambda us, vs: iter(list(zip(us, vs)))],
+    ids=["zip", "generator", "iterator"],
+)
+def test_graph_names_the_bad_edge_of_a_one_shot_input(one_shot, us, vs, message):
+    with pytest.raises(ValueError) as err:
+        Graph(3, one_shot(us, vs))
+    assert str(err.value) == message
+
+
+@st.composite
+def _cnf_formulas(draw):
+    """Any CNF, unit and repeated-literal clauses included."""
+    var_count = draw(st.integers(1, 5))
+    literals = st.integers(1, var_count).flatmap(lambda v: st.sampled_from([v, -v]))
+    return CnfFormula(var_count, draw(st.lists(st.lists(literals, min_size=1, max_size=4), max_size=8)))
+
+
+def _lower_higher(edges) -> bool:
+    return all(type(edge) is tuple and len(edge) == 2 and edge[0] < edge[1] for edge in edges)
+
+
+# `Graph` re-makes no pair when every pair is a (lower, higher) 2-tuple, so
+# each layout must keep handing it such pairs for that skip to fire.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 99), st.sampled_from([0.0, 0.3, 0.7, 1.0]), _cnf_formulas(),
+       st.data())
+def test_every_layout_gives_lower_higher_pairs(k, n, seed, p, formula, data):
+    g = gen_gnp(n, p, seed)
+    assert _lower_higher(zip(*ReductionMap(k, n, g.edges)._columns))
+    handed = []
+
+    def spy(n, edges):
+        handed.append(list(edges))
+        return Graph(n, handed[-1])
+
+    with mock.patch.object(kcol3.sat_route, "Graph", spy):
+        encode_cnf_as_3col(encode_col_as_cnf(g, k))
+        encode_cnf_as_3col(formula)
+    assert len(handed) == 2 and all(map(_lower_higher, handed))
+    start = data.draw(st.integers(k + 1, 3 * k + 6))
+    boundary = data.draw(st.lists(st.integers(0, start - 1), min_size=k + 1, max_size=k + 1, unique=True))
+    assert _lower_higher(GadgetInstance(tuple(boundary), start).added_edges)
+
+
 def _reference_edges(n, edges):
     """Per-edge reference for `Graph`'s canonicalization: check each edge,
     orient it into a set, then sort the set."""
@@ -52,7 +113,7 @@ def _reference_edges(n, edges):
 
 def _layout_edges(g, k):
     """The edges of G' in the order `ReductionMap.reconstruct_graph` hands them to `Graph`."""
-    return tuple(zip(*ReductionMap(k, g.n, g.edges)._columns()))
+    return tuple(zip(*ReductionMap(k, g.n, g.edges)._columns))
 
 
 def _both_ways_shuffled(g, seed):

@@ -101,9 +101,9 @@ def test_gprime_columns_follow_the_gadget_log(k):
     rmap = ReductionMap(k, 6, gen_gnp(6, 0.5, 3).edges)
     t, f, r = rmap.t_vertex, rmap.f_vertex, rmap.r_vertex
     expected = [(t, f), (t, r), (f, r)]
-    expected += [(v, r) for row in rmap.indicator for v in row]
+    expected += [(r, v) for row in rmap.indicator for v in row]
     expected += [edge for _, inst in _gadget_log(rmap) for edge in inst.added_edges]
-    us, vs = rmap._columns()
+    us, vs = rmap._columns
     assert list(zip(us, vs)) == expected
 
 
@@ -125,7 +125,7 @@ def _reference_edges(rmap):
     """G''s edges in layout order, each gadget wired link by link: a link
     allocates its output y (the last outputs z), then its a and b."""
     t, f, r = rmap.t_vertex, rmap.f_vertex, rmap.r_vertex
-    edges = [(t, f), (t, r), (f, r)] + [(v, r) for row in rmap.indicator for v in row]
+    edges = [(t, f), (t, r), (f, r)] + [(r, v) for row in rmap.indicator for v in row]
     for (*inputs, z), pos in _reference_boundaries(rmap):
         prev = inputs[0]
         for i in range(1, len(inputs)):
@@ -172,7 +172,7 @@ def test_layout_and_lift_equal_the_per_gadget_reference(case):
     k, n, colors, g = case
     rmap = ReductionMap(k, n, g.edges)
     assert list(rmap._boundaries()) == list(_reference_boundaries(rmap))
-    assert list(zip(*rmap._columns())) == _reference_edges(rmap)
+    assert list(zip(*rmap._columns)) == _reference_edges(rmap)
     c = Coloring(k, colors)
     assert lift_witness(g, c, rmap) == _reference_lift(c, rmap)
 

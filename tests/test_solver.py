@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import math
 import sys
 import tracemalloc
 from itertools import combinations, product
@@ -198,6 +199,18 @@ def test_pinned_counters(name):
     g = PINNED_SEARCH_TREES[name][0]()
     gprime, _ = reduce_to_3col(g, 3)
     assert tuple(tuple(solve(graph, 3).counters) for graph in (g, gprime)) == PINNED_COUNTERS[name]
+
+
+# Refuting K_{k+1} takes at most 3 decisions on G but 2·k! on G': the solver
+# breaks the symmetry of G's k colors, not the k! matching permutations of
+# G''s indicator columns (README, "Ground truth").
+@pytest.mark.parametrize("k, g_decisions", [(2, 1), (3, 1), (4, 2), (5, 3)])
+def test_refuting_a_clique_costs_2_k_factorial_decisions_on_gprime(k, g_decisions):
+    g = complete_graph(k + 1)
+    gprime, _ = reduce_to_3col(g, k)
+    outcomes = solve(g, k), solve(gprime, 3)
+    assert [outcome.status for outcome in outcomes] == ["uncolorable", "uncolorable"]
+    assert [outcome.counters.decisions for outcome in outcomes] == [g_decisions, 2 * math.factorial(k)]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SEARCH_TREES))
