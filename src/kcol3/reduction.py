@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from operator import add, eq, ne
+from operator import add, eq
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
@@ -207,7 +207,7 @@ def _is_proper_on_gprime(rmap: ReductionMap, c: Coloring) -> bool:
     if len(a) != n:
         raise ValueError(f"coloring covers {len(a)} vertices, reduced graph has {n}")
     us, vs = rmap._columns
-    return all(map(ne, map(a.__getitem__, us), map(a.__getitem__, vs)))
+    return all(a[u] != a[v] for u, v in zip(us, vs))
 
 
 def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:

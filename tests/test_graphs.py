@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from unittest import mock
 
@@ -418,6 +420,86 @@ def test_gnp_reference_sample():
 def test_gnp_rejects_bad_probability():
     with pytest.raises(ValueError):
         gen_gnp(5, 1.5, 0)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(state: int):
+    """One step of the splitmix64 generator (Steele, Lea & Flood constants)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return state, z
+
+
+def _reference_gnp_edges(n, p, seed):
+    """The scalar generator `gen_gnp` computes lane-parallel: one draw per
+    pair in lexicographic (u, v) order, edge iff (draw >> 11)/2^53 < p."""
+    state = seed & _MASK64
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            state, z = _splitmix64(state)
+            if (z >> 11) * 2.0 ** -53 < p:
+                edges.append((u, v))
+    return tuple(edges)
+
+
+def _rows_around(pairs):
+    """Every n from the last whose pair count n(n-1)/2 is below `pairs` to
+    the first whose count is above it (n has n - 1 pairs more than n - 1)."""
+    return [n for n in range(pairs + 2) if -n <= n * (n - 1) // 2 - pairs < n]
+
+
+# The batch width 105 and twice it are both pair counts (n = 15, 21), so
+# that width also gives the n whose pairs fill whole batches exactly.
+@pytest.mark.parametrize("lanes", [kcol3.graphs._LANES, 105])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-12, 0.0095, 0.5, 1.0])
+def test_gnp_matches_scalar_reference_around_batch_edges(lanes, p):
+    ns = [0, 1, 2] + _rows_around(lanes) + _rows_around(2 * lanes)
+    with mock.patch.object(kcol3.graphs, "_LANES", lanes):
+        for n in ns:
+            for seed in (0, -1, 2**64 - 1, 2**64, 2**80 + 5):
+                assert gen_gnp(n, p, seed).edges == _reference_gnp_edges(n, p, seed), (n, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(0, 150), st.floats(0.0, 1.0), st.integers(-(2**70), 2**70), st.integers(1, 5000))
+def test_gnp_matches_scalar_reference(n, p, seed, lanes):
+    with mock.patch.object(kcol3.graphs, "_LANES", lanes):
+        assert gen_gnp(n, p, seed).edges == _reference_gnp_edges(n, p, seed)
+
+
+# p at (draw >> 11)/2^53 leaves that draw's pair out; the next float up
+# takes it in. Only draws below 2^63 are used: there that float times 2^53
+# is not an integer, so rounding it down instead of up would drop the pair.
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_gnp_threshold_is_exact_at_a_draw(seed):
+    state, draws = seed & _MASK64, []
+    for _ in range(30 * 29 // 2):
+        state, z = _splitmix64(state)
+        draws.append(z >> 11)
+    for x in [x for x in draws if x < 2**52][:5]:
+        for p in (x * 2.0**-53, math.nextafter(x * 2.0**-53, 1.0)):
+            assert gen_gnp(30, p, seed).edges == _reference_gnp_edges(30, p, seed), (x, p)
+
+
+def test_gnp_stream_pinned_at_benchmark_scale():
+    # sha256 of the top benchmark row's .col text, as the scalar generator wrote it
+    text = emit_dimacs_col(gen_gnp(2000, 0.00197, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == "8a788d9ef223d2dc9c117b9cf409b3516aeb6cfe31cca6401bd4f3c44038d060"
+
+
+def test_gnp_rejects_negative_n_before_drawing():
+    with pytest.raises(ValueError, match=r"^negative vertex count -3$"):
+        gen_gnp(-3, 0.5, 0)
+    # n(n-1)/2 is 5*10^17 here: a single batch drawn fails the test, not hangs it
+    with mock.patch.object(kcol3.graphs, "compress", side_effect=AssertionError("drew a batch")):
+        with pytest.raises(ValueError, match=r"^negative vertex count -1000000000$"):
+            gen_gnp(-(10**9), 0.5, 0)
 
 
 def test_complete_graph_sizes():
