@@ -14,12 +14,12 @@ import functools
 import sys
 from pathlib import Path
 
-from .errors import ConstructionError, ParseError, SolveTimeout
+from .errors import ParseError
 from .graphs import Coloring, Graph, _bulk_columns, _fields, emit_dimacs_col, gen_gnp, is_proper_coloring
 from .graphs import parse_dimacs_col
 from .reduction import lift_witness, project_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
-from .solver import solve
+from .solver import DEFAULT_BUDGET, solve
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -30,6 +30,12 @@ EXIT_INVARIANT = 4
 
 def _read_graph(path: str) -> Graph:
     return parse_dimacs_col(Path(path).read_bytes())
+
+
+def _read_source(args) -> Graph:
+    if args.k < 2:  # before the file is read, so a bad palette is reported whatever the path
+        raise ValueError("--k must be at least 2")
+    return _read_graph(args.input)
 
 
 def _write_witness(path: str, c: Coloring):
@@ -70,10 +76,7 @@ def _walk_witness(text: bytes, n: int, k: int) -> Coloring:
 
 
 def _cmd_reduce(args) -> int:
-    if args.k < 2:
-        print("error: --k must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    g = _read_graph(args.input)
+    g = _read_source(args)
     gprime, rmap = reduce_to_3col(g, args.k)
     Path(args.output).write_text(emit_dimacs_col(gprime))
     if args.map:
@@ -113,10 +116,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    if args.k < 2:
-        print("error: --k must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    g = _read_graph(args.input)
+    g = _read_source(args)
     gprime, rmap = reduce_to_3col(g, args.k)
     src = solve(g, args.k, args.timeout)
     dst = solve(gprime, 3, args.timeout)
@@ -140,10 +140,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.k < 2:
-        print("error: --k must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    g = _read_graph(args.input)
+    g = _read_source(args)
     record = compare_routes(g, args.k, args.timeout)
     Path(args.output).write_text(comparison_to_json(record))
     sane, sat = record["sane"], record["sat_route"]
@@ -165,38 +162,32 @@ def _cmd_gen(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kcol3", description="k-colorability to 3-colorability reduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--k", type=int, required=True)
+    instance.add_argument("--input", required=True)
+    budget = dict(type=float, default=DEFAULT_BUDGET)
+    timed = argparse.ArgumentParser(add_help=False, parents=[instance])
+    timed.add_argument("--timeout", **budget)
 
-    p = sub.add_parser("reduce", help="reduce a k-coloring instance to a 3-coloring instance")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("reduce", help="reduce a k-coloring instance to a 3-coloring instance", parents=[instance])
     p.add_argument("--output", required=True)
     p.add_argument("--map", help="write the reduction-map sidecar JSON here")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("solve", help="decide k-colorability exactly")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p = sub.add_parser("solve", help="decide k-colorability exactly", parents=[timed])
     p.add_argument("--witness", help="write the coloring witness here if colorable")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check a coloring witness file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", help="check a coloring witness file", parents=[instance])
     p.add_argument("--witness", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("roundtrip", help="solve both sides of the reduction and translate witnesses")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p = sub.add_parser("roundtrip", help="solve both sides of the reduction and translate witnesses", parents=[timed])
     p.set_defaults(func=_cmd_roundtrip)
 
-    p = sub.add_parser("compare", help="compare the direct route against the SAT detour")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("compare", help="compare the direct route against the SAT detour", parents=[instance])
     p.add_argument("--output", required=True)
-    p.add_argument("--timeout", type=float, default=10.0, help="seconds per route; 0: sizes only, both decisions null")
+    p.add_argument("--timeout", **budget, help="seconds per route; 0: sizes only, both decisions null")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gen", help="generate a random graph deterministically")
@@ -213,12 +204,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConstructionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and ConstructionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SolveTimeout as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
     except Exception as exc:  # InvariantViolation, ExtensionError or a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

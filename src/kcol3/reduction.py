@@ -215,6 +215,8 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
     reduced graph: T, F, R get colors 0, 1, 2; indicator v_ij copies T's
     color iff c(i) = j, else F's; gadget internals are filled by the
     deterministic extension search, once per distinct boundary coloring."""
+    if (g.n, g.edges) != (rmap.n, rmap.edges):
+        raise ValueError("graph is not the reduction map's source graph")
     if c.palette_size != rmap.k:
         raise ValueError(f"witness palette {c.palette_size} does not match reduction k={rmap.k}")
     if not is_proper_coloring(g, c):
@@ -251,6 +253,8 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
     """Read a proper 3-coloring of the reduced graph back to a k-coloring
     of the source: vertex i gets the unique j whose indicator shares T's
     color."""
+    if g is not None and (g.n, g.edges) != (rmap.n, rmap.edges):
+        raise ValueError("graph is not the reduction map's source graph")
     if c3.palette_size != 3:
         raise ValueError("projection expects a 3-color witness")
     if not _is_proper_on_gprime(rmap, c3):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import kcol3.cli
 import kcol3.reduction
 from kcol3 import Coloring, ParseError, complete_graph, cycle_graph, emit_dimacs_col
-from kcol3.cli import _read_witness, _walk_witness, _write_witness, main
+from kcol3.cli import _read_witness, _walk_witness, _write_witness, build_parser, main
 from kcol3.graphs import _bulk_columns
 from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
 
@@ -58,6 +58,49 @@ def test_k1_is_usage_error(tmp_path, k3_file, capsys, command):
     assert main(argv) == 2
     assert "--k must be at least 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "roundtrip", "compare"])
+def test_palette_is_checked_before_the_file(tmp_path, capsys, command):
+    argv = [command, "--k", "1", "--input", str(tmp_path / "nope.col")]
+    if command != "roundtrip":
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --k must be at least 2\n"
+
+
+_K_INPUT, _PARSED_K_INPUT = ["--k", "3", "--input", "g.col"], {"k": 3, "input": "g.col"}
+# Per subcommand: one argv with only the required options, one with every option; each after --k and --input.
+_PARSED = [
+    (["reduce", "--output", "o.col"], {"output": "o.col", "map": None}),
+    (["reduce", "--output", "o.col", "--map", "m.json"], {"output": "o.col", "map": "m.json"}),
+    (["solve"], {"timeout": 10.0, "witness": None}),
+    (["solve", "--timeout", "0.5", "--witness", "w.txt"], {"timeout": 0.5, "witness": "w.txt"}),
+    (["verify", "--witness", "w.txt"], {"witness": "w.txt"}),
+    (["roundtrip"], {"timeout": 10.0}),
+    (["roundtrip", "--timeout", "2"], {"timeout": 2.0}),
+    (["compare", "--output", "c.json"], {"output": "c.json", "timeout": 10.0}),
+    (["compare", "--output", "c.json", "--timeout", "0"], {"output": "c.json", "timeout": 0.0}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PARSED, ids=[" ".join(argv) for argv, _ in _PARSED])
+def test_parser_contract(argv, expected):
+    argv = [argv[0], *_K_INPUT, *argv[1:]]
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func") is getattr(kcol3.cli, f"_cmd_{argv[0]}")
+    assert parsed == {"command": argv[0], **_PARSED_K_INPUT, **expected}
+    for at in (1, 3):  # without --k, then without --input
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv[:at] + argv[at + 2 :])
+        assert exc.value.code == 2
+
+
+def test_gen_parser_contract():
+    argv = ["gen", "--model", "gnp", "--n", "8", "--p", "0.5", "--seed", "42", "--output", "g.col"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func") is kcol3.cli._cmd_gen
+    assert parsed == {"command": "gen", "model": "gnp", "n": 8, "p": 0.5, "seed": 42, "output": "g.col"}
 
 
 def test_reduce_deterministic(tmp_path, k3_file):

@@ -325,6 +325,20 @@ def test_lift_rejects_improper_coloring():
         lift_witness(g, Coloring(3, (0, 0, 1)), rmap)
 
 
+def test_lift_rejects_another_source_graph():
+    _, rmap = reduce_to_3col(Graph(3, ((0, 1), (1, 2))), 3)
+    with pytest.raises(ValueError, match="not the reduction map's source graph"):
+        lift_witness(Graph(3, ((0, 1),)), Coloring(3, (0, 1, 1)), rmap)
+
+
+def test_project_rejects_another_source_graph():
+    path = Graph(3, ((0, 1), (1, 2)))
+    _, rmap = reduce_to_3col(path, 3)
+    lifted = lift_witness(path, Coloring(3, (0, 1, 0)), rmap)
+    with pytest.raises(ValueError, match="not the reduction map's source graph"):
+        project_witness(rmap, lifted, complete_graph(3))
+
+
 def test_project_solver_witness():
     g = complete_graph(3)
     gprime, rmap = reduce_to_3col(g, 3)
