@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ParseError
 from .graphs import Coloring, Graph, _bulk_columns, _fields, emit_dimacs_col, gen_gnp, is_proper_coloring
 from .graphs import parse_dimacs_col
-from .reduction import lift_witness, project_witness, reduce_to_3col, size_report
+from .reduction import _project, lift_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import DEFAULT_BUDGET, solve
 
@@ -127,10 +127,10 @@ def _cmd_roundtrip(args) -> int:
         print(f"DISAGREEMENT: source {src.status}, reduced {dst.status}")
         return EXIT_INVARIANT
     if src.status == "colorable":
+        # Both G' colorings are checked already: dst.witness by solve, lifted by lift_witness.
         lifted = lift_witness(g, src.witness, rmap)
-        project_witness(rmap, dst.witness, g)  # raises InvariantViolation if not proper on g
-        back = project_witness(rmap, lifted, g)
-        if back != src.witness:
+        _project(rmap, dst.witness)  # raises InvariantViolation if not proper on g
+        if _project(rmap, lifted) != src.witness:
             print("round-trip witness mismatch")
             return EXIT_INVARIANT
         print("decisions agree (colorable); witnesses translate both ways")
@@ -165,7 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--k", type=int, required=True)
     instance.add_argument("--input", required=True)
-    budget = dict(type=float, default=DEFAULT_BUDGET)
+
+    def seconds(text: str) -> float:  # NaN fails too: no budget check would ever stop it
+        if float(text) >= 0:
+            return float(text)
+        raise argparse.ArgumentTypeError(f"must be at least 0 seconds, got {text!r}")
+
+    budget = dict(type=seconds, default=DEFAULT_BUDGET)
     timed = argparse.ArgumentParser(add_help=False, parents=[instance])
     timed.add_argument("--timeout", **budget)
 

@@ -221,28 +221,20 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
         raise ValueError(f"witness palette {c.palette_size} does not match reduction k={rmap.k}")
     if not is_proper_coloring(g, c):
         raise ValueError("input coloring is not a proper coloring of the source graph")
-    assign = [-1] * formula_vertices(rmap.n, rmap.e, rmap.k)
-    assign[rmap.t_vertex], assign[rmap.f_vertex], assign[rmap.r_vertex] = 0, 1, 2
-    for row, color in zip(rmap.indicator, c.assignment):
-        assign[row.start : row.stop] = [1] * rmap.k
-        assign[row[color]] = 0
-    # An extension depends only on the arity and the boundary colors,
-    # both of which the key holds.
-    extensions: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for boundary, start in rmap._chains():
-        colors = tuple(map(assign.__getitem__, boundary))
-        fill = extensions.get(colors)
-        if fill is None:
-            fill = extensions[colors] = tuple(extend_coloring(GadgetInstance(boundary, start), colors).values())
-        assign[start : start + len(fill)] = fill
-    # A base gadget's output is F, so 3 * color(x) + color(y) keys its fill.
-    start, xs, ys = rmap._base_gadgets()
+    # Indicator row i and chain i (that row, then T) depend only on c(i): one extension per color c uses.
+    k = rmap.k
+    template = GadgetInstance((*range(k), k), k + 1)
+    rows = {j: (1,) * j + (0,) + (1,) * (k - 1 - j) for j in set(c.assignment)}
+    chain_fills = {j: extend_coloring(template, (*row, 0)).values() for j, row in rows.items()}
+    assign = [0, 1, 2]  # T, F, R
+    assign += chain.from_iterable(map(rows.__getitem__, c.assignment))
+    assign += chain.from_iterable(map(chain_fills.__getitem__, c.assignment))
+    # A base gadget's output is F (color 1), so 3 * color(x) + color(y) keys its fill.
+    _, xs, ys = rmap._base_gadgets()
     keys = list(map(add, map((3).__mul__, map(assign.__getitem__, xs)), map(assign.__getitem__, ys)))
-    template, a_fill, b_fill = GadgetInstance((0, 1, 2), 3), {}, {}
-    for key in set(keys):
-        a_fill[key], b_fill[key] = extend_coloring(template, (key // 3, key % 3, assign[rmap.f_vertex])).values()
-    assign[start::2] = map(a_fill.__getitem__, keys)
-    assign[start + 1 :: 2] = map(b_fill.__getitem__, keys)
+    base = GadgetInstance((0, 1, 2), 3)
+    base_fills = {key: extend_coloring(base, (key // 3, key % 3, 1)).values() for key in set(keys)}
+    assign += chain.from_iterable(map(base_fills.__getitem__, keys))
     lifted = Coloring(3, tuple(assign))
     if not _is_proper_on_gprime(rmap, lifted):
         raise InvariantViolation("lifted coloring is not proper; construction bug")
@@ -259,6 +251,12 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
         raise ValueError("projection expects a 3-color witness")
     if not _is_proper_on_gprime(rmap, c3):
         raise ValueError("input is not a proper 3-coloring of the reduced graph")
+    return _project(rmap, c3)
+
+
+def _project(rmap: ReductionMap, c3: Coloring) -> Coloring:
+    """`project_witness` of a 3-coloring already known to be a proper coloring of G'. The result is checked
+    against the map's source edges, which are g's whenever a caller passes g."""
     a, t_color = c3.assignment, c3[rmap.t_vertex]
     assign = []
     for i, row in enumerate(rmap.indicator):
@@ -266,10 +264,9 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
         if colors.count(t_color) != 1:
             raise InvariantViolation(f"source vertex {i} has {colors.count(t_color)} indicators colored T")
         assign.append(colors.index(t_color))
-    projected = Coloring(rmap.k, tuple(assign))
-    if g is not None and not is_proper_coloring(g, projected):
+    if any(assign[u] == assign[v] for u, v in rmap.edges):
         raise InvariantViolation("projected coloring is not proper; construction bug")
-    return projected
+    return Coloring(rmap.k, tuple(assign))
 
 
 def formula_vertices(n: int, e: int, k: int) -> int:

@@ -12,8 +12,9 @@ to T, which is achievable exactly when some literal is T.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 
 from .errors import InvariantViolation, ParseError
 from .gadgets import _chain_links, _link_columns
@@ -58,20 +59,10 @@ def encode_col_as_cnf(g: Graph, k: int) -> CnfFormula:
     """
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
-
-    def var(i: int, j: int) -> int:
-        return i * k + j + 1
-
-    clauses: list[tuple[int, ...]] = []
-    for i in range(g.n):
-        clauses.append(tuple(var(i, j) for j in range(k)))
-    for i in range(g.n):
-        for j1 in range(k):
-            for j2 in range(j1 + 1, k):
-                clauses.append((-var(i, j1), -var(i, j2)))
-    for u, v in g.edges:
-        for c in range(k):
-            clauses.append((-var(u, c), -var(v, c)))
+    rows = [range(i * k + 1, i * k + k + 1) for i in range(g.n)]  # rows[i][j] is x_{i,j}
+    clauses = [tuple(row) for row in rows]
+    clauses += [(-row[j1], -row[j2]) for row in rows for j1, j2 in combinations(range(k), 2)]
+    clauses += [(-rows[u][c], -rows[v][c]) for u, v in g.edges for c in range(k)]
     return CnfFormula(g.n * k, tuple(clauses))
 
 
@@ -183,6 +174,8 @@ def compare_routes(g: Graph, k: int, budget: float = DEFAULT_BUDGET, with_decisi
     Returns a JSON-ready record. Its sizes come from the closed forms; a
     route's graph is built only to decide it, at a positive budget. A
     decision is None when not asked for or when the budget runs out."""
+    if math.isnan(budget):
+        raise ValueError("budget must be a number of seconds, got nan")
     sane = size_report(g, k)
     sat = _sat_route_sizes(g.n, g.e, k)
     record = {

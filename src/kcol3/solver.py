@@ -41,6 +41,7 @@ node counts.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -84,6 +85,8 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     """Decide k-colorability of g within a wall-clock budget (seconds)."""
     if k < 1:
         raise ValueError(f"palette size must be positive, got {k}")
+    if math.isnan(budget):  # no budget check below would ever stop
+        raise ValueError("budget must be a number of seconds, got nan")
     start = time.perf_counter()
     n = g.n
     if n == 0:

@@ -274,6 +274,16 @@ def test_roundtrip_builds_gprime_columns_once(k3_file):
     assert link_columns.call_count == 1
 
 
+def test_roundtrip_checks_gprime_colorings_once(k3_file, capsys):
+    # solve checks the G' witness on G'; of the rest, only lift_witness checks a G' coloring
+    with mock.patch.object(
+        kcol3.reduction, "_is_proper_on_gprime", wraps=kcol3.reduction._is_proper_on_gprime
+    ) as is_proper_on_gprime:
+        assert main(["roundtrip", "--k", "3", "--input", str(k3_file)]) == 0
+    assert is_proper_on_gprime.call_count == 1
+    assert "decisions agree (colorable)" in capsys.readouterr().out
+
+
 def test_roundtrip_uncolorable(k4_file):
     assert main(["roundtrip", "--k", "3", "--input", str(k4_file)]) == 0
 
@@ -282,6 +292,29 @@ def test_roundtrip_timeout(tmp_path):
     big = tmp_path / "big.col"
     big.write_text(emit_dimacs_col(complete_graph(9)))
     assert main(["roundtrip", "--k", "5", "--input", str(big), "--timeout", "0"]) == 3
+
+
+def test_solve_timeout_zero(k3_file, capsys):
+    assert main(["solve", "--k", "3", "--input", str(k3_file), "--timeout", "0"]) == 3
+    assert capsys.readouterr().out.startswith("timeout after ")
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "-1", "-0.5", "-inf"])
+@pytest.mark.parametrize("command", ["solve", "roundtrip", "compare"])
+def test_timeout_must_be_at_least_zero(tmp_path, k3_file, capsys, command, value):
+    argv = [command, "--k", "3", "--input", str(k3_file), f"--timeout={value}"]
+    if command == "compare":
+        argv += ["--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --timeout: must be at least 0 seconds, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, code", [("inf", 0), ("-0", 3)])
+def test_timeout_inf_and_negative_zero_are_accepted(k3_file, value, code):
+    assert main(["roundtrip", "--k", "3", "--input", str(k3_file), "--timeout", value]) == code
 
 
 def test_compare_record(tmp_path, k3_file):

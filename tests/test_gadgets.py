@@ -136,6 +136,21 @@ def test_extend_raises_on_non_extendable():
         extend_coloring(inst, (0, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ((0, 1), "boundary coloring arity mismatch"),
+        ((0, 1, 2, 0), "boundary coloring arity mismatch"),
+        ((0, 1, 3), r"boundary colors must be in 0\.\.2"),
+        ((-1, 1, 2), r"boundary colors must be in 0\.\.2"),
+    ],
+)
+def test_extend_rejects_a_malformed_boundary_coloring(colors, message):
+    inst = attach_chain_gadget(GraphBuilder(3), [0, 1], 2)
+    with pytest.raises(ValueError, match=message):
+        extend_coloring(inst, colors)
+
+
 def test_extend_is_deterministic():
     b = GraphBuilder(3)
     inst = attach_chain_gadget(b, [0, 1], 2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kcol3.reduction
 from kcol3 import (
     Coloring,
     GadgetInstance,
@@ -252,6 +253,32 @@ def test_map_from_json_checks_header_and_every_record(edit):
         ReductionMap.from_json(_edited_sidecar(edit))
 
 
+def _first_edge_record(doc):
+    """Index of a sidecar's first edge-conflict record."""
+    return doc["n"] * (1 + doc["k"] * (doc["k"] - 1) // 2)
+
+
+def _reverse_edge_records(doc):
+    first = _first_edge_record(doc)
+    doc["gadgets"][first:] = reversed(doc["gadgets"][first:])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["gadgets"][_first_edge_record(doc)].update(tag="edge-conflict:x:1:0"),
+            "reduction map has a malformed edge-conflict record",
+        ),
+        (_reverse_edge_records, r"reduction map source edges are not sorted, distinct pairs \(u < v\)"),
+    ],
+    ids=["non-integer-field", "edges-out-of-order"],
+)
+def test_map_from_json_names_a_bad_edge_list(edit, message):
+    with pytest.raises(ValueError, match=message):
+        ReductionMap.from_json(_edited_sidecar(edit))
+
+
 def _traced_peak(f):
     tracemalloc.start()
     try:
@@ -325,6 +352,23 @@ def test_lift_rejects_improper_coloring():
         lift_witness(g, Coloring(3, (0, 0, 1)), rmap)
 
 
+def test_lift_rejects_another_palette():
+    g = complete_graph(3)
+    _, rmap = reduce_to_3col(g, 3)
+    with pytest.raises(ValueError, match="witness palette 4 does not match reduction k=3"):
+        lift_witness(g, Coloring(4, (0, 1, 2)), rmap)
+
+
+def test_project_rejects_another_palette():
+    g = complete_graph(3)
+    _, rmap = reduce_to_3col(g, 3)
+    lifted = lift_witness(g, Coloring(3, (0, 1, 2)), rmap).assignment
+    # A proper coloring of G' is still refused under another palette.
+    for witness in (Coloring(4, lifted), Coloring(2, (0,) * len(lifted))):
+        with pytest.raises(ValueError, match="projection expects a 3-color witness"):
+            project_witness(rmap, witness, g)
+
+
 def test_lift_rejects_another_source_graph():
     _, rmap = reduce_to_3col(Graph(3, ((0, 1), (1, 2))), 3)
     with pytest.raises(ValueError, match="not the reduction map's source graph"):
@@ -337,6 +381,16 @@ def test_project_rejects_another_source_graph():
     lifted = lift_witness(path, Coloring(3, (0, 1, 0)), rmap)
     with pytest.raises(ValueError, match="not the reduction map's source graph"):
         project_witness(rmap, lifted, complete_graph(3))
+
+
+def test_projection_is_checked_against_the_map_source_edges():
+    # One T-colored indicator per row, but both ends of the edge get color 0;
+    # the private helper trusts its caller to have checked the coloring on G'.
+    _, rmap = reduce_to_3col(complete_graph(2), 2)
+    witness = [2] * formula_vertices(2, 1, 2)
+    witness[rmap.t_vertex], witness[3:7] = 0, (0, 1, 0, 1)
+    with pytest.raises(InvariantViolation, match="projected coloring is not proper"):
+        kcol3.reduction._project(rmap, Coloring(3, witness))
 
 
 def test_project_solver_witness():

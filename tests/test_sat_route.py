@@ -324,3 +324,9 @@ def test_comparison_bytes_are_pinned(g, k, sizes_only_sha, decided_sha):
 
     assert sha(compare_routes(g, k, 0)) == sizes_only_sha
     assert sha(compare_routes(g, k)) == decided_sha
+
+
+@pytest.mark.parametrize("with_decisions", [True, False])
+def test_compare_refuses_a_nan_budget(with_decisions):
+    with pytest.raises(ValueError, match="budget must be a number of seconds, got nan"):
+        compare_routes(complete_graph(3), 3, float("nan"), with_decisions)

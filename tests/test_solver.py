@@ -10,6 +10,7 @@ import pytest
 
 from kcol3 import (
     Graph,
+    SolveCounters,
     SolveTimeout,
     complete_graph,
     cycle_graph,
@@ -67,6 +68,13 @@ def test_decide_timeout_is_an_exception_not_a_bool():
     big, _ = reduce_to_3col(gen_gnp(12, 0.5, 3), 4)
     with pytest.raises(SolveTimeout):
         decide(big, 3, budget=0.0)
+
+
+@pytest.mark.parametrize("g", [Graph(0, ()), complete_graph(3)], ids=["empty", "k3"])
+def test_nan_budget_is_refused(g):
+    for run in (solve, decide):
+        with pytest.raises(ValueError, match="budget must be a number of seconds, got nan"):
+            run(g, 3, math.nan)
 
 
 def test_agreement_with_exhaustive_enumeration():
@@ -182,6 +190,13 @@ def test_positive_budget_times_out_at_first_check():
     gprime, _ = reduce_to_3col(gen_gnp(60, 0.05, 1), 3)
     outcome = solve(gprime, 3, budget=1e-9)
     assert (outcome.status, outcome.witness, outcome.nodes) == ("timeout", None, 256)
+
+
+def test_budget_is_checked_at_every_256th_decision():
+    # No vertex of an edgeless graph is ever forced, so the check on the decision path fires.
+    outcome = solve(Graph(300, ()), 3, budget=1e-9)
+    assert (outcome.status, outcome.witness) == ("timeout", None)
+    assert outcome.counters == SolveCounters(decisions=256, forced=0, pair_prunes=0, backjumps=0, max_depth=256)
 
 
 # Every SolveCounters field (decisions, forced, pair_prunes, backjumps,
