@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, groupby, islice, repeat, starmap
+from itertools import compress, groupby, islice, starmap
 from math import ceil
 from operator import eq, itemgetter, lt, ne
 
@@ -168,8 +168,8 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
         for block in _bulk_columns(data, start, b"e"):
             if block is None or not 1 <= min(map(min, block)) <= max(map(max, block)) <= n or any(map(eq, *block)):
                 break
-            us += map((-1).__add__, block[0])
-            vs += map((-1).__add__, block[1])
+            us += [u - 1 for u in block[0]]
+            vs += [v - 1 for v in block[1]]
         else:
             g = Graph(n, zip(us, vs))  # checked above, so Graph reads the pairs once
             if g.e == int(head[3]):
@@ -240,7 +240,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     lanes = min(_LANES, pairs) or 1
     ones = int.from_bytes(b"\1".ljust(16, b"\0") * lanes, "little")
     mask = _MASK64 * ones
-    lane_index = int.from_bytes(b"".join(map(int.to_bytes, range(lanes), repeat(16), repeat("little"))), "little")
+    lane_index = int.from_bytes(b"".join([i.to_bytes(16, "little") for i in range(lanes)]), "little")
     states = (((seed + _GAMMA) & _MASK64) * ones + _GAMMA * lane_index) & mask  # draw i's state in lane i - 1
     step = (lanes * _GAMMA & _MASK64) * ones  # from one batch's states to the next's
     # draw >> 11 < p*2^53 (both exact) iff draw < ceil(p*2^53) << 11 iff 2^64 + that - 1 - draw has bit 64 set

@@ -15,7 +15,7 @@ in this fixed order:
 Each gadget's internals follow the previous gadget's. A ReductionMap stores
 (k, n, source edges) and derives the layout from them on demand: the n
 chains one by one, and blocks 4 and 5, whose gadgets are all base gadgets
-(x, y, F) with two internals each, as two columns filled by strided slices.
+(x, y, F) with two internals each, as two columns listed in tag order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from operator import add, eq
+from operator import eq
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
@@ -80,19 +80,14 @@ class ReductionMap:
         return zip(((*row, self.t_vertex) for row in self.indicator), range(start, start + self.n * step, step))
 
     def _base_gadgets(self) -> tuple[int, list[int], list[int]]:
-        """(start, xs, ys): the i-th at-most-one or edge-conflict gadget is
-        (xs[i], ys[i], F), with internals start + 2i and start + 2i + 1."""
-        k, n, pairs = self.k, self.n, self.k * (self.k - 1) // 2
+        """(start, xs, ys): the i-th gadget `_tags` names after the chains is (xs[i], ys[i], F), with internals
+        start + 2i and start + 2i + 1. Edge (u, v)'s gadget for color c joins v_uc and v_vc."""
+        k, n = self.k, self.n
         ind = list(range(3, 3 + n * k))  # one int object per indicator, shared by both columns
-        xs, ys = [0] * (n * pairs + k * self.e), [0] * (n * pairs + k * self.e)
-        for p, (j1, j2) in enumerate(combinations(range(k), 2) if n else ()):  # no k^2 walk when n = 0
-            xs[p : n * pairs : pairs] = ind[j1::k]
-            ys[p : n * pairs : pairs] = ind[j2::k]
-        if self.edges:
-            us, vs = [k * u for u, _ in self.edges], [k * v for _, v in self.edges]
-            for c in range(k):
-                xs[n * pairs + c :: k] = map(ind.__getitem__, map(c.__add__, us))
-                ys[n * pairs + c :: k] = map(ind.__getitem__, map(c.__add__, vs))
+        rows = [ind[i : i + k] for i in range(0, n * k, k)]
+        pairs = list(combinations(range(k), 2)) if n else []  # no k^2 walk when n = 0
+        xs = [row[j1] for row in rows for j1, _ in pairs] + [x for u, _ in self.edges for x in rows[u]]
+        ys = [row[j2] for row in rows for _, j2 in pairs] + [y for _, v in self.edges for y in rows[v]]
         return 3 + n * (4 * k - 4), xs, ys
 
     def _boundaries(self):
@@ -142,7 +137,7 @@ class ReductionMap:
         indent 2 and with a final newline; each record is written from a
         template instead of a dict."""
         records = ",\n".join(
-            _GADGET_RECORD % (tag, ",\n        ".join(map(str, boundary)), start, 3 * len(boundary) - 7)
+            _GADGET_RECORD % (tag, ",\n        ".join([str(v) for v in boundary]), start, 3 * len(boundary) - 7)
             for tag, (boundary, start) in zip(self._tags(), self._boundaries())
         )
         head = json.dumps(self._header(), indent=2)[: -len("\n}")]
@@ -231,7 +226,7 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
     assign += chain.from_iterable(map(chain_fills.__getitem__, c.assignment))
     # A base gadget's output is F (color 1), so 3 * color(x) + color(y) keys its fill.
     _, xs, ys = rmap._base_gadgets()
-    keys = list(map(add, map((3).__mul__, map(assign.__getitem__, xs)), map(assign.__getitem__, ys)))
+    keys = [3 * assign[x] + assign[y] for x, y in zip(xs, ys)]
     base = GadgetInstance((0, 1, 2), 3)
     base_fills = {key: extend_coloring(base, (key // 3, key % 3, 1)).values() for key in set(keys)}
     assign += chain.from_iterable(map(base_fills.__getitem__, keys))

@@ -158,10 +158,13 @@ def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
     return CnfFormula(var_count, tuple(clauses))
 
 
-def cnf_satisfiable_brute_force(f: CnfFormula, max_vars: int = 20) -> bool:
+_BRUTE_FORCE_VARS = 20  # at most 2^20 assignments are walked; a formula with more variables is refused
+
+
+def cnf_satisfiable_brute_force(f: CnfFormula) -> bool:
     """Exhaustive assignment enumeration; independent of any graph route."""
-    if f.var_count > max_vars:
-        raise ValueError(f"{f.var_count} variables exceeds brute-force limit {max_vars}")
+    if f.var_count > _BRUTE_FORCE_VARS:
+        raise ValueError(f"{f.var_count} variables exceeds brute-force limit {_BRUTE_FORCE_VARS}")
     for values in product((False, True), repeat=f.var_count):
         if all(any(values[abs(l) - 1] == (l > 0) for l in cl) for cl in f.clauses):
             return True

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kcol3.cli
 import kcol3.reduction
-from kcol3 import Coloring, ParseError, complete_graph, cycle_graph, emit_dimacs_col
+from kcol3 import Coloring, ParseError, SolveOutcome, complete_graph, cycle_graph, emit_dimacs_col
 from kcol3.cli import _read_witness, _walk_witness, _write_witness, build_parser, main
 from kcol3.graphs import _bulk_columns
 from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
@@ -378,3 +378,27 @@ def test_unexpected_exception_is_internal_error(monkeypatch, k3_file, capsys):
     monkeypatch.setattr("kcol3.cli.solve", broken_solve)
     assert main(["solve", "--k", "3", "--input", str(k3_file)]) == 4
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_roundtrip_disagreement_is_internal_error(k3_file, capsys, monkeypatch):
+    real_solve = kcol3.cli.solve
+
+    def gprime_uncolorable(g, k, budget):  # the source K3 has 3 vertices, its G' 63
+        outcome = real_solve(g, k, budget)
+        return outcome if g.n == 3 else SolveOutcome("uncolorable", None, outcome.wall_time)
+
+    monkeypatch.setattr("kcol3.cli.solve", gprime_uncolorable)
+    assert main(["roundtrip", "--k", "3", "--input", str(k3_file)]) == 4
+    assert capsys.readouterr().out == "DISAGREEMENT: source colorable, reduced uncolorable\n"
+
+
+def test_roundtrip_witness_mismatch_is_internal_error(k3_file, capsys, monkeypatch):
+    real_project = kcol3.cli._project
+
+    def shifted(rmap, c3):  # a proper coloring of g, but not the one lifted
+        c = real_project(rmap, c3)
+        return Coloring(c.palette_size, tuple((color + 1) % c.palette_size for color in c.assignment))
+
+    monkeypatch.setattr("kcol3.cli._project", shifted)
+    assert main(["roundtrip", "--k", "3", "--input", str(k3_file)]) == 4
+    assert capsys.readouterr().out == "round-trip witness mismatch\n"

@@ -186,3 +186,12 @@ def test_extension_of_a_long_chain_needs_no_recursion():
     colors = dict.fromkeys(inst.boundary, 0)
     colors.update(ext)
     assert all(colors[u] != colors[v] for u, v in inst.added_edges)
+
+
+def test_builder_rejects_a_self_loop_and_an_out_of_range_edge():
+    builder = GraphBuilder(2)
+    with pytest.raises(ValueError, match=r"^self-loop at 1$"):
+        builder.add_edge(1, 1)
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) out of range$"):
+        builder.add_edge(0, 2)
+    assert builder.edges == set()

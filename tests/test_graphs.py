@@ -17,6 +17,7 @@ from kcol3 import (
     ParseError,
     ReductionMap,
     complete_graph,
+    cycle_graph,
     emit_dimacs_col,
     encode_cnf_as_3col,
     encode_col_as_cnf,
@@ -506,3 +507,15 @@ def test_complete_graph_sizes():
     assert complete_graph(1).e == 0
     assert complete_graph(3).e == 3
     assert complete_graph(5).e == 10
+
+
+def test_coloring_needs_a_positive_palette():
+    with pytest.raises(ValueError, match="^palette size must be positive, got 0$"):
+        Coloring(0, ())
+
+
+def test_named_graphs_refuse_too_few_vertices():
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        complete_graph(0)
+    with pytest.raises(ValueError, match="^cycle needs at least three vertices$"):
+        cycle_graph(2)

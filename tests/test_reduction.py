@@ -495,3 +495,30 @@ def test_output_bytes_are_pinned(g, k, col_sha, map_sha, lifted_sha, source):
     assert sha(emit_dimacs_col(gprime)) == col_sha
     assert sha(rmap.to_json()) == map_sha
     assert sha(witness) == lifted_sha
+
+
+def test_reduce_checks_its_sizes_against_the_closed_forms(monkeypatch):
+    monkeypatch.setattr(kcol3.reduction, "formula_vertices", lambda n, e, k: 0)
+    message = r"^constructed sizes \(63, 132\) differ from closed forms \(0, 132\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        reduce_to_3col(complete_graph(3), 3)
+
+
+def test_lift_checks_the_lifted_coloring(monkeypatch):
+    def all_t(instance, colors):  # every internal colored T: each gadget's a-b edge is monochromatic
+        return dict.fromkeys(instance.internal, 0)
+
+    monkeypatch.setattr(kcol3.reduction, "extend_coloring", all_t)
+    g = complete_graph(3)
+    _, rmap = reduce_to_3col(g, 3)
+    with pytest.raises(InvariantViolation, match="^lifted coloring is not proper; construction bug$"):
+        lift_witness(g, Coloring(3, (0, 1, 2)), rmap)
+
+
+def test_projection_needs_one_t_indicator_per_row():
+    g = Graph(1, ())
+    _, rmap = reduce_to_3col(g, 2)
+    colors = list(lift_witness(g, Coloring(2, (0,)), rmap).assignment)
+    colors[rmap.indicator[0][1]] = colors[rmap.t_vertex]
+    with pytest.raises(InvariantViolation, match="^source vertex 0 has 2 indicators colored T$"):
+        kcol3.reduction._project(rmap, Coloring(3, colors))

@@ -330,3 +330,10 @@ def test_comparison_bytes_are_pinned(g, k, sizes_only_sha, decided_sha):
 def test_compare_refuses_a_nan_budget(with_decisions):
     with pytest.raises(ValueError, match="budget must be a number of seconds, got nan"):
         compare_routes(complete_graph(3), 3, float("nan"), with_decisions)
+
+
+def test_brute_force_limit_is_twenty_variables():
+    with pytest.raises(ValueError, match="^21 variables exceeds brute-force limit 20$"):
+        cnf_satisfiable_brute_force(CnfFormula(21, ((1,),)))
+    # All-false, the first assignment walked, satisfies this one.
+    assert cnf_satisfiable_brute_force(CnfFormula(20, tuple((-v,) for v in range(1, 21))))

@@ -10,6 +10,7 @@ import pytest
 
 from kcol3 import (
     Graph,
+    InvariantViolation,
     SolveCounters,
     SolveTimeout,
     complete_graph,
@@ -306,3 +307,16 @@ def test_solver_imports_only_errors_and_graphs_from_the_package():
                 imported.add(dots + node.module)
     inside = {name for name in imported if name.startswith(".") or name.split(".")[0] == "kcol3"}
     assert inside == {".errors", ".graphs"}
+
+
+def test_budget_is_checked_while_one_color_forces_every_vertex():
+    # With k = 1 propagation colors every vertex before any decision, so the check on the forced path fires.
+    outcome = solve(Graph(300, ()), 1, budget=1e-9)
+    assert (outcome.status, outcome.witness) == ("timeout", None)
+    assert outcome.counters == SolveCounters(decisions=0, forced=256, pair_prunes=0, backjumps=0, max_depth=0)
+
+
+def test_solve_checks_its_witness(monkeypatch):
+    monkeypatch.setattr(solver, "is_proper_coloring", lambda g, c: False)
+    with pytest.raises(InvariantViolation, match="^search produced an improper witness$"):
+        solve(complete_graph(3), 3)
