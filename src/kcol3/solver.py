@@ -5,10 +5,12 @@ deliberately independent of the SAT-route module and of the reduction.
 The search uses:
 
 * most-constrained-vertex-first ordering (fewest remaining feasible
-  colors, ties broken by lowest index), read in O(log n) off a heap of
-  int keys size << n.bit_length() | vertex, ordered as (size, vertex)
-  pairs, whose stale entries are dropped lazily, rebuilt from the
-  uncolored vertices past 4n + 64 entries;
+  colors, ties broken by highest degree and then by lowest index, as
+  DSATUR breaks them, with degrees in the whole graph), read in O(log n)
+  off a heap of int keys size << rank_bits | rank, where rank is
+  (top degree - degree) << n.bit_length() | vertex, computed once per
+  solve; stale entries are dropped lazily, and the heap is rebuilt from
+  the uncolored vertices past 4n + 64 entries;
 * forward pruning of uncolored neighbors' color sets;
 * a pair-propagation rule: two adjacent uncolored vertices sharing the
   same two-color domain must use both colors, so their common neighbors
@@ -105,20 +107,23 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     causes: list[list[int | tuple[int, int]]] = [[] for _ in range(n)]
     decision_depth = [-1] * n  # frame index of a decided vertex, else -1
     colored = decisions = forced = pair_prunes = 0
-    # Holds domain size << shift | vertex for every uncolored vertex with
-    # two or more colors left, among stale entries: a push follows every
-    # shrink to two or more colors and every undo.
+    # Holds domain size << rank_bits | rank[v] for every uncolored vertex v
+    # with two or more colors left, among stale entries: a push follows every
+    # shrink to two or more colors and every undo. rank[v]'s low bits are v.
     shift, mask = n.bit_length(), (1 << n.bit_length()) - 1
-    heap = [colors << shift | v for v in range(n)]
+    top_degree = max(map(len, adj))
+    rank = [(top_degree - len(row)) << shift | v for v, row in enumerate(adj)]
+    rank_bits = shift + top_degree.bit_length()
+    heap = sorted(colors << rank_bits | r for r in rank)
 
     def select() -> int:
         if len(heap) > 4 * n + 64:
-            heap[:] = [domains[v].bit_count() << shift | v for v in range(n) if assignment[v] < 0]
+            heap[:] = [domains[v].bit_count() << rank_bits | rank[v] for v in range(n) if assignment[v] < 0]
             heapify(heap)
         while True:
             top = heap[0]
             v = top & mask
-            if assignment[v] < 0 and domains[v].bit_count() == top >> shift:
+            if assignment[v] < 0 and domains[v].bit_count() == top >> rank_bits:
                 return v
             heappop(heap)
 
@@ -155,7 +160,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                     if size == 1:
                         pending.append(w)
                     elif size:
-                        heappush(heap, size << shift | w)
+                        heappush(heap, size << rank_bits | rank[w])
                         if size == 2:
                             pairs.append(w)
                     else:
@@ -180,7 +185,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                                 if size == 1:
                                     pending.append(u)
                                 elif size:
-                                    heappush(heap, size << shift | u)
+                                    heappush(heap, size << rank_bits | rank[u])
                                     if size == 2:
                                         pairs.append(u)
                                 else:
@@ -197,7 +202,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                 removals = causes[x]
                 removals.pop()
                 domains[x] |= removals.pop()
-                heappush(heap, domains[x].bit_count() << shift | x)
+                heappush(heap, domains[x].bit_count() << rank_bits | rank[x])
             else:
                 assignment[~x] = -1
                 colored -= 1
@@ -205,7 +210,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         assignment[v] = -1
         decision_depth[v] = -1
         colored -= 1
-        heappush(heap, domains[v].bit_count() << shift | v)
+        heappush(heap, domains[v].bit_count() << rank_bits | rank[v])
 
     def explain(v: int) -> set[int]:
         """Frame indices of the decisions behind every removal from v's

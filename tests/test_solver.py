@@ -6,6 +6,7 @@ import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from kcol3 import (
@@ -151,16 +152,16 @@ def witness_digest(outcome) -> str | None:
 # rule, the order of forced colorings, backjumping or symmetry breaking
 # changes the search tree and shows up here.
 PINNED_SEARCH_TREES = {
-    "mycielskian(C7)": (mycielskian_of_c7, ("uncolorable", 82, None), ("uncolorable", 6432, None)),
+    "mycielskian(C7)": (mycielskian_of_c7, ("uncolorable", 61, None), ("uncolorable", 4428, None)),
     "gnp(60,0.05,1)": (
         lambda: gen_gnp(60, 0.05, 1),
-        ("colorable", 60, "cdef2e8534ca5b0c"),
-        ("colorable", 1455, "e9ed2fab19a9e62d"),
+        ("colorable", 66, "313067cf8ba71c0f"),
+        ("colorable", 1455, "bf22927261272858"),
     ),
     "gnp(30,0.147,5)": (
         lambda: gen_gnp(30, 0.147, 5),
-        ("colorable", 30, "9d2080fca4de35ab"),
-        ("colorable", 1892, "82a497532a6ce31a"),
+        ("colorable", 30, "6d7945a87eab7ad9"),
+        ("colorable", 916, "0fdf8e6c28efbd32"),
     ),
 }
 
@@ -204,9 +205,9 @@ def test_budget_is_checked_at_every_256th_decision():
 # max_depth) for G and G' of each PINNED_SEARCH_TREES case at k=3. A change
 # to the pair rule can leave node counts alone and still show here.
 PINNED_COUNTERS = {
-    "mycielskian(C7)": ((24, 58, 0, 0, 6), (144, 6288, 564, 0, 9)),
-    "gnp(60,0.05,1)": ((30, 30, 1, 0, 30), (249, 1206, 60, 0, 249)),
-    "gnp(30,0.147,5)": ((9, 21, 5, 0, 9), (150, 1742, 103, 2, 133)),
+    "mycielskian(C7)": ((16, 45, 0, 0, 6), (84, 4344, 363, 0, 9)),
+    "gnp(60,0.05,1)": ((37, 29, 3, 0, 36), (258, 1197, 60, 0, 258)),
+    "gnp(30,0.147,5)": ((8, 22, 4, 0, 8), (136, 780, 40, 0, 135)),
 }
 
 
@@ -229,6 +230,28 @@ def test_refuting_a_clique_costs_2_k_factorial_decisions_on_gprime(k, g_decision
     assert [outcome.counters.decisions for outcome in outcomes] == [g_decisions, 2 * math.factorial(k)]
 
 
+# Among vertices with equally many colors left the solver decides the one
+# of highest degree first, and among those the lowest index (DSATUR's tie
+# rule with static degrees), so the first decision takes color 0.
+@pytest.mark.parametrize(
+    "edges, witness",
+    [
+        (((0, 3), (1, 3), (2, 3)), (1, 1, 1, 0)),  # the star's center, vertex 3, goes first
+        (((0, 1), (1, 2), (2, 3)), (1, 0, 1, 0)),  # vertices 1 and 2 tie on degree; 1 goes first
+    ],
+)
+def test_ties_go_to_the_highest_degree_then_the_lowest_index(edges, witness):
+    assert solve(Graph(4, edges), 2).witness.assignment == witness
+
+
+def test_grotzsch_graph_decisions_on_g_and_gprime():
+    # README, "Ground truth": the Grötzsch graph, numbered as networkx numbers it, at k = 3.
+    h = nx.mycielski_graph(4)
+    g = Graph(h.number_of_nodes(), tuple(h.edges()))
+    outcomes = solve(g, 3), solve(reduce_to_3col(g, 3)[0], 3)
+    assert [(o.status, o.counters.decisions) for o in outcomes] == [("uncolorable", 8), ("uncolorable", 36)]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SEARCH_TREES))
 def test_counters_account_for_every_node(name):
     g = PINNED_SEARCH_TREES[name][0]()
@@ -249,9 +272,10 @@ def test_counters_with_one_color_are_all_forced():
 
 
 def test_backjumping_decides_generator_order_reduction():
-    # Chronological backtracking times out on this G' (k=3) after about
-    # half a million nodes; backjumping skips the dead subtrees.
-    gprime, _ = reduce_to_3col(gen_gnp(250, 0.0095, 1002), 3)
+    # Seed 1020 is the first seed >= 1000 whose generator-order G' (k=3)
+    # backjumps. Chronological backtracking colors it after 19,340 nodes;
+    # backjumping skips dead subtrees and needs 5,522.
+    gprime, _ = reduce_to_3col(gen_gnp(250, 0.0095, 1020), 3)
     outcome = solve(gprime, 3)
     assert outcome.status == "colorable"
     assert is_proper_coloring(gprime, outcome.witness)
