@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParseError", "ConstructionError", "ExtensionError", "InvariantViolation", "SolveTimeout"]
+
 
 class ParseError(ValueError):
     """Malformed DIMACS input. Carries the 1-based line number."""

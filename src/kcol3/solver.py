@@ -132,8 +132,10 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         first out (a decision comes already colored), prune its color from
         its uncolored neighbors and chase the pair rule, until nothing is
         left to do. A vertex left with one color joins the list. Records
-        every change on the trail. Returns _FIXPOINT, _OUT_OF_TIME or, on a
-        dead end, the wiped-out vertex."""
+        every change on the trail, and checks the clock every 256 colorings
+        (each vertex comes off the list once, right after it is colored).
+        Returns _FIXPOINT, _OUT_OF_TIME or, on a dead end, the wiped-out
+        vertex."""
         nonlocal colored, forced, pair_prunes
         pairs: list[int] = []
         while pending:
@@ -146,8 +148,8 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                 trail.append(~v)
                 colored += 1
                 forced += 1
-                if (decisions + forced) % 256 == 0 and time.perf_counter() - start > budget:
-                    return _OUT_OF_TIME
+            if (decisions + forced) % 256 == 0 and time.perf_counter() - start > budget:
+                return _OUT_OF_TIME
             bit = 1 << assignment[v]
             for w in adj[v]:
                 if assignment[w] < 0 and domains[w] & bit:
@@ -166,9 +168,9 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                     else:
                         return w
             while pairs:
-                p = pairs.pop()
+                p = pairs.pop()  # uncolored: pairs empties before the next vertex is colored
                 dom = domains[p]
-                if assignment[p] >= 0 or dom.bit_count() != 2:
+                if dom.bit_count() != 2:
                     continue
                 for w in adj[p]:
                     if assignment[w] < 0 and domains[w] == dom:
@@ -282,8 +284,6 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         top[1] = candidates ^ bit
         color = bit.bit_length() - 1
         decisions += 1
-        if (decisions + forced) % 256 == 0 and time.perf_counter() - start > budget:
-            return outcome("timeout")
         assignment[v] = color
         decision_depth[v] = depth
         colored += 1

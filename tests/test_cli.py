@@ -257,6 +257,20 @@ def test_witness_read_equals_walker_on_mutated_files(tmp_path_factory, colors, e
     assert _outcome(_read_witness, str(path), n, k) == _outcome(_walk_witness, text.encode(), n, k)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=40))),
+       st.randoms(use_true_random=False))
+def test_witness_round_trip(tmp_path_factory, case, rng):
+    k, colors = case
+    coloring, n, path = Coloring(k, colors), len(colors), tmp_path_factory.getbasetemp() / "round-trip-witness.txt"
+    _write_witness(str(path), coloring)
+    read, by_walker = _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), n, k)
+    assert read == coloring and not (n and by_walker)  # n = 0 writes one blank line, which the walker reads
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(rng.sample(lines, len(lines))))
+    assert _read_witness(str(path), n, k) == _walk_witness(path.read_bytes(), n, k) == coloring
+
+
 def test_solve_on_reduced_instance(tmp_path, k3_file):
     out = tmp_path / "out.col"
     main(["reduce", "--k", "3", "--input", str(k3_file), "--output", str(out)])

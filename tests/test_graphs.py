@@ -396,6 +396,28 @@ def test_round_trip_identity_on_sweep():
         assert emit_dimacs_col(parse_dimacs_col(emit_dimacs_col(g))) == emit_dimacs_col(g)
 
 
+@st.composite
+def simple_graphs(draw, max_n=12):
+    """Any simple graph on at most max_n vertices, the edgeless and empty ones included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(simple_graphs(), st.randoms(use_true_random=False))
+def test_col_round_trip(g, rng):
+    data = emit_dimacs_col(g).encode()
+    assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, data) == (g, False)
+    # The same graph rewritten: a comment, CRLF line ends, leading spaces,
+    # the lines shuffled and half of the edges reversed.
+    header, *lines = data.decode().splitlines()
+    lines = [" ".join((e, v, u) if rng.random() < 0.5 else (e, u, v)) for e, u, v in map(str.split, lines)]
+    rng.shuffle(lines)
+    rewrite = "".join(f"  {line}\r\n" for line in ("c rewritten", header, *lines))
+    assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, rewrite) == (g, True)
+
+
 def test_gnp_extremes():
     for n in (1, 5, 20, 50):
         assert gen_gnp(n, 0.0, 1).e == 0

@@ -28,6 +28,7 @@ from kcol3 import (
     size_report,
     solve,
 )
+from test_graphs import simple_graphs
 
 
 def _gadget_log(rmap):
@@ -201,6 +202,15 @@ def test_map_json_round_trip():
     restored = ReductionMap.from_json(rmap.to_json())
     assert restored == rmap
     assert restored.reconstruct_graph() == gprime
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(2, 5), simple_graphs(max_n=8))
+def test_map_json_round_trip_on_drawn_graphs(k, g):
+    """from_json compares documents, not bytes: the compact form reads back too."""
+    rmap = ReductionMap(k, g.n, g.edges)
+    text = rmap.to_json()
+    assert ReductionMap.from_json(text) == ReductionMap.from_json(json.dumps(json.loads(text))) == rmap
 
 
 def test_map_from_json_names_missing_field():

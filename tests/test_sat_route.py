@@ -3,6 +3,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcol3 import (
     CnfFormula,
@@ -130,6 +132,22 @@ def test_cnf_round_trip():
         g = gen_gnp(4, 0.5, seed)
         cnf = encode_col_as_cnf(g, 3)
         assert parse_dimacs_cnf(emit_dimacs_cnf(cnf)) == cnf
+
+
+@st.composite
+def _formulas(draw):
+    """A CNF over at most 6 variables with at most 8 clauses of 1-4 literals."""
+    var_count = draw(st.integers(1, 6))
+    literals = st.integers(1, var_count).flatmap(lambda v: st.sampled_from([v, -v]))
+    return CnfFormula(var_count, draw(st.lists(st.lists(literals, min_size=1, max_size=4), max_size=8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_formulas())
+@example(CnfFormula(0, ()))
+@example(CnfFormula(4, ()))
+def test_cnf_round_trip_on_drawn_formulas(f):
+    assert parse_dimacs_cnf(emit_dimacs_cnf(f)) == f
 
 
 # text -> (message, line) of the ParseError that parse_dimacs_cnf raises:
