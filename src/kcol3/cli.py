@@ -39,8 +39,7 @@ def _read_source(args) -> Graph:
 
 
 def _write_witness(path: str, c: Coloring):
-    lines = [f"v {v + 1} {color}" for v, color in enumerate(c.assignment)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("".join(f"v {v + 1} {color}\n" for v, color in enumerate(c.assignment)))
 
 
 def _read_witness(path: str, n: int, k: int) -> Coloring:

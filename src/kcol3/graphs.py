@@ -2,16 +2,18 @@
 
 Vertices are dense indices 0..n-1 internally; DIMACS 1-indexing is confined
 to the parse/emit boundary. Graphs are simple and undirected: edges are
-canonical pairs (u, v) with u < v, deduplicated, no self-loops.
+canonical (u, v) with u < v, deduplicated, no self-loops, held as two int columns.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import compress, groupby, islice, starmap
+from itertools import compress, groupby, islice, repeat
 from math import ceil
-from operator import eq, itemgetter, lt, ne
+from operator import and_, lt, rshift, sub
 
 from .errors import ParseError
 
@@ -26,46 +28,63 @@ __all__ = [
     "cycle_graph",
 ]
 
+_ENDPOINT = "I"  # typecode of Graph's endpoint columns
+_WIDTH = 8 * array(_ENDPOINT).itemsize  # bits per endpoint
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1. `edges`, any iterable of pairs, is read once. Its pairs
-    are re-made only unless all are 2-tuples (u, v) with u < v, as every layout here gives them, and deduplicated
-    only when some pair repeats."""
+    """Immutable simple undirected graph on vertices 0..n-1, held as two `_WIDTH`-bit endpoint columns, so n is at most
+    2**_WIDTH: edge i is (us[i], vs[i]), us[i] < vs[i], in ascending order, each edge once. `edges`, any iterable of
+    pairs, is read once; internal callers hand over two int columns of one length as `columns` instead."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    us: array
+    vs: array
 
-    def __post_init__(self):
-        n = self.n
-        if n < 0:
-            raise ValueError(f"negative vertex count {n}")
-        items = list(self.edges)  # the input may be a one-shot iterator
-        oriented = set(map(type, items)) <= {tuple} and set(map(len, items)) <= {2} and all(starmap(lt, items))
-        pairs = items.copy() if oriented else [(u, v) if u < v else (v, u) for u, v in items]
-        pairs.sort()  # items keeps the input order for the error below
-        # Sorted and oriented, the first pair holds the smallest endpoint.
-        if pairs and not (pairs[0][0] >= 0 and max(map(itemgetter(1), pairs)) < n and all(starmap(ne, pairs))):
-            u, v = next((u, v) for u, v in items if u == v or not (0 <= u < n and 0 <= v < n))
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if not all(map(lt, pairs, islice(pairs, 1, None))):  # some pair repeats
-            pairs = map(itemgetter(0), groupby(pairs))
-        object.__setattr__(self, "edges", tuple(pairs))
+    def __init__(self, n: int, edges=(), *, columns=None):
+        self.__post_init__(n, edges, columns)
+
+    def __post_init__(self, n, edges, columns):
+        if not 0 <= n <= 1 << _WIDTH:
+            raise ValueError(f"negative vertex count {n}" if n < 0 else f"vertex count {n} above 2**{_WIDTH}")
+        if columns is None:
+            items = list(edges)  # the input may be a one-shot iterator
+            columns = zip(*items, strict=True) if items else ((), ())  # a pair of another length is a ValueError
+        us, vs = columns
+        oriented = all(map(lt, us, vs))
+        lo, hi = (us, vs) if oriented else (list(map(min, us, vs)), list(map(max, us, vs)))
+        if lo and not (min(lo) >= 0 and max(hi) < n and (oriented or all(map(lt, lo, hi)))):
+            u, v = next((u, v) for u, v in zip(us, vs) if u == v or not (0 <= u < n and 0 <= v < n))
+            raise ValueError(f"self-loop at vertex {u}" if u == v else f"edge ({u},{v}) out of range for n={n}")
+        if not all(map(lt, zip(lo, hi), islice(zip(lo, hi), 1, None))):  # unsorted, or some edge repeats
+            width = n.bit_length()  # the fewer int digits a key has, the faster it is made and sorted
+            keys = sorted([u << width | v for u, v in zip(lo, hi)])  # orders as (u, v) does
+            if not all(map(lt, keys, islice(keys, 1, None))):
+                keys = [key for key, _ in groupby(keys)]
+            lo, hi = map(rshift, keys, repeat(width)), map(and_, keys, repeat((1 << width) - 1))
+        vars(self).update(n=n, us=array(_ENDPOINT, lo), vs=array(_ENDPOINT, hi))  # frozen: no setattr
+
+    def __hash__(self):
+        return hash((self.n, self.us.tobytes(), self.vs.tobytes()))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) pairs, made anew on every call."""
+        return tuple(zip(self.us, self.vs))
 
     @property
     def e(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
     def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists, one per vertex. No sort is needed: the
-        edges are canonical and sorted, so each row gets its lower neighbors
-        in ascending order, then its higher ones."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        """Sorted neighbor lists, one per vertex, sharing one int object per vertex. No sort is needed: the edges
+        are canonical and sorted, so each row gets its lower neighbors in ascending order, then its higher ones."""
+        ids = list(range(self.n))
+        adj: list[list[int]] = [[] for _ in ids]
+        for u, v in zip(self.us, self.vs):
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
         return adj
 
 
@@ -97,7 +116,7 @@ def is_proper_coloring(g: Graph, c: Coloring) -> bool:
     if len(c.assignment) != g.n:
         raise ValueError(f"coloring covers {len(c.assignment)} vertices, graph has {g.n}")
     a = c.assignment
-    return all(a[u] != a[v] for u, v in g.edges)
+    return all(a[u] != a[v] for u, v in zip(g.us, g.vs))
 
 
 def _fields(text: str | bytes):
@@ -164,16 +183,17 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
     head = data[: start - 1].split(b" ")
     # A header of at most 64 bytes keeps its counts well inside the digit limit of int().
     if 0 < start <= 64 and len(head) == 4 and head[:2] == [b"p", b"edge"] and head[2].isdigit() and head[3].isdigit():
-        n, us, vs = int(head[2]), [], []
-        for block in _bulk_columns(data, start, b"e"):
-            if block is None or not 1 <= min(map(min, block)) <= max(map(max, block)) <= n or any(map(eq, *block)):
-                break
-            us += [u - 1 for u in block[0]]
-            vs += [v - 1 for v in block[1]]
-        else:
-            g = Graph(n, zip(us, vs))  # checked above, so Graph reads the pairs once
-            if g.e == int(head[3]):
-                return g
+        us, vs = array(_ENDPOINT), array(_ENDPOINT)
+        with suppress(ValueError, OverflowError):  # the walker names the fault; an endpoint 0 overflows a column
+            for block in _bulk_columns(data, start, b"e"):
+                if block is None:
+                    break
+                us.extend(map(sub, block[0], repeat(1)))
+                vs.extend(map(sub, block[1], repeat(1)))
+            else:
+                g = Graph(int(head[2]), columns=(us, vs))
+                if g.e == int(head[3]):
+                    return g
     return _walk_dimacs_col(text)
 
 
@@ -213,9 +233,8 @@ def _walk_dimacs_col(text: str | bytes) -> Graph:
 
 def emit_dimacs_col(g: Graph) -> str:
     """Canonical DIMACS .col text: header, then sorted 1-indexed edge lines."""
-    lines = [f"p edge {g.n} {g.e}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    lines = [f"e {u + 1} {v + 1}\n" for u, v in zip(g.us, g.vs)]
+    return f"p edge {g.n} {g.e}\n" + "".join(lines)
 
 
 _MASK64 = (1 << 64) - 1
@@ -254,7 +273,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         hit = (below - z).to_bytes(16 * lanes, "little")[8::16]  # byte 8 of a lane holds its bit 64
         hits.extend(compress(range(first, min(first + lanes, pairs)), hit))
     rows = [u * (2 * n - u - 1) // 2 for u in range(n)]  # index of each row's first pair (u, u + 1)
-    return Graph(n, [(u := bisect_right(rows, i) - 1, i - rows[u] + u + 1) for i in hits])
+    us = [bisect_right(rows, i) - 1 for i in hits]
+    return Graph(n, columns=(us, [i - rows[u] + u + 1 for i, u in zip(hits, us)]))
 
 
 def complete_graph(n: int) -> Graph:

@@ -21,6 +21,7 @@ chains one by one, and blocks 4 and 5, whose gadgets are all base gadgets
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -28,7 +29,7 @@ from operator import eq
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
-from .graphs import Coloring, Graph, is_proper_coloring
+from .graphs import _ENDPOINT, Coloring, Graph, is_proper_coloring
 
 __all__ = [
     "ReductionMap",
@@ -104,22 +105,22 @@ class ReductionMap:
         )
 
     @cached_property
-    def _columns(self) -> tuple[list[int], list[int]]:
+    def _columns(self) -> tuple[array, array]:
         """G' as two endpoint columns of (lower, higher) edges: palette triangle, R to the indicators, then the
-        gadget wiring. Built once per map and shared by its callers, which must not mutate the lists."""
+        gadget wiring. Built once per map and shared by its callers, which must not mutate the arrays."""
         t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k
         prev, inputs, out, a = _chain_links(self._chains())
         start, xs, ys = self._base_gadgets()
         a += range(start, start + 2 * len(xs), 2)
         us, vs = _link_columns(prev + xs, inputs + ys, out + [f] * len(xs), a)
-        return [t, t, f, *repeat(r, m), *us], [f, r, r, *range(3, 3 + m), *vs]
+        return array(_ENDPOINT, [t, t, f, *repeat(r, m), *us]), array(_ENDPOINT, [f, r, r, *range(3, 3 + m), *vs])
 
     def reconstruct_graph(self) -> Graph:
         """Rebuild the reduced graph from the map alone. Every vertex of G'
         has an edge, so the largest higher endpoint + 1 is the layout's own
         vertex count, which reduce_to_3col checks against the closed form."""
         us, vs = self._columns
-        return Graph(max(vs) + 1, zip(us, vs))
+        return Graph(max(vs) + 1, columns=(us, vs))
 
     def _header(self) -> dict:
         return {

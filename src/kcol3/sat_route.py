@@ -98,10 +98,10 @@ def encode_cnf_as_3col(f: CnfFormula) -> tuple[Graph, CnfGraphMap]:
             chains.append(((*lits, n), n + 1))
             n += 3 * len(lits) - 3
     us, vs = _link_columns(*_chain_links(chains))
-    # Every edge (lower, higher), so Graph need not re-make the pairs.
+    # Every edge (lower, higher), so Graph need not orient them.
     us = [t, t, fv, *pos, *repeat(bv, 2 * f.var_count), *repeat(fv, len(outs)), *repeat(bv, len(outs)), *us]
     vs = [fv, bv, bv, *neg, *pos, *neg, *outs, *outs, *vs]
-    return Graph(n, zip(us, vs)), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))
+    return Graph(n, columns=(us, vs)), CnfGraphMap(t, fv, bv, tuple(pos), tuple(neg))
 
 
 def _sat_route_sizes(n: int, e: int, k: int) -> dict:

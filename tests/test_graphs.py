@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ from kcol3 import (
     Coloring,
     GadgetInstance,
     Graph,
+    GraphBuilder,
     ParseError,
     ReductionMap,
     complete_graph,
@@ -76,8 +79,8 @@ def _lower_higher(edges) -> bool:
     return all(type(edge) is tuple and len(edge) == 2 and edge[0] < edge[1] for edge in edges)
 
 
-# `Graph` re-makes no pair when every pair is a (lower, higher) 2-tuple, so
-# each layout must keep handing it such pairs for that skip to fire.
+# `Graph` orients no edge when every edge is (lower, higher), so each layout
+# must keep handing it such columns for that skip to fire.
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 99), st.sampled_from([0.0, 0.3, 0.7, 1.0]), _cnf_formulas(),
        st.data())
@@ -86,9 +89,9 @@ def test_every_layout_gives_lower_higher_pairs(k, n, seed, p, formula, data):
     assert _lower_higher(zip(*ReductionMap(k, n, g.edges)._columns))
     handed = []
 
-    def spy(n, edges):
-        handed.append(list(edges))
-        return Graph(n, handed[-1])
+    def spy(n, *, columns):
+        handed.append(list(zip(*columns)))
+        return Graph(n, columns=columns)
 
     with mock.patch.object(kcol3.sat_route, "Graph", spy):
         encode_cnf_as_3col(encode_col_as_cnf(g, k))
@@ -101,7 +104,8 @@ def test_every_layout_gives_lower_higher_pairs(k, n, seed, p, formula, data):
 
 def _reference_edges(n, edges):
     """Per-edge reference for `Graph`'s canonicalization: check each edge,
-    orient it into a set, then sort the set."""
+    orient it into a set, then sort the set. The columns hold ints, so a
+    non-int endpoint that passes the checks is a TypeError."""
     if n < 0:
         raise ValueError(f"negative vertex count {n}")
     canon = set()
@@ -111,6 +115,8 @@ def _reference_edges(n, edges):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         canon.add((u, v) if u < v else (v, u))
+    if not all(isinstance(x, int) for edge in canon for x in edge):
+        raise TypeError("non-int endpoint")
     return tuple(sorted(canon))
 
 
@@ -180,6 +186,68 @@ _edge_inputs = st.one_of(
 @given(st.integers(-1, 8), st.one_of(st.lists(_edge_inputs), st.lists(_edge_inputs).map(tuple)))
 def test_graph_equals_reference_loop_on_generated_input(n, edges):
     test_graph_equals_reference_loop(n, edges)
+
+
+def test_graph_caps_n_at_its_endpoint_width():
+    width = 8 * array(kcol3.graphs._ENDPOINT).itemsize
+    cap = 1 << width
+    assert Graph(cap, ((cap - 1, 0),)).edges == ((0, cap - 1),)  # nothing is allocated per vertex
+    for build in (lambda: Graph(cap + 1, ()), lambda: parse_dimacs_col(f"p edge {cap + 1} 0\n")):
+        with pytest.raises(ValueError, match=rf"^vertex count {cap + 1} above 2\*\*{width}$"):
+            build()
+
+
+def test_every_build_path_runs_post_init_once(monkeypatch):
+    """perfbench times `Graph.__post_init__` as the graph build, so every path that makes a Graph runs it once."""
+    g = gen_gnp(12, 0.4, 2)
+    text = emit_dimacs_col(g)
+    builder = GraphBuilder(3)
+    builder.add_edge(2, 0)
+    builder.add_edge(1, 2)
+    calls = []
+    post_init = Graph.__post_init__
+
+    def counted(self, *args):
+        calls.append(args)
+        post_init(self, *args)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    paths = {
+        "pairs": lambda: Graph(g.n, g.edges),
+        "bulk reader": lambda: _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, text)[0],
+        "walker": lambda: _walk_dimacs_col(text),
+        "reconstruct_graph": lambda: ReductionMap(3, g.n, g.edges).reconstruct_graph(),
+        "encode_cnf_as_3col": lambda: encode_cnf_as_3col(encode_col_as_cnf(g, 3))[0],
+        "gen_gnp": lambda: gen_gnp(12, 0.4, 2),
+        "GraphBuilder": builder.to_graph,
+    }
+    for name, build in paths.items():
+        calls.clear()
+        built = build()
+        assert len(calls) == 1, name
+        again = Graph(built.n, built.edges)
+        assert again == built and hash(again) == hash(built), name
+    assert Graph(g.n, g.edges[1:]) != g and Graph(g.n + 1, g.edges) != g
+
+
+def _kept_bytes(build):
+    """What build() returns, and the bytes that it keeps allocated."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_graphs_keep_int_columns_not_pair_tuples():
+    """A return to a tuple of pair tuples (here 110 bytes per parsed edge and 96 per reduced edge) fails here."""
+    g = gen_gnp(300, 0.02, 1)
+    data = emit_dimacs_col(reduce_to_3col(g, 4)[0]).encode()
+    kept, parsed = _kept_bytes(lambda: parse_dimacs_col(data))
+    assert parsed.e > 30_000 and kept <= 16 * parsed.e
+    kept, (gprime, _) = _kept_bytes(lambda: reduce_to_3col(g, 4))
+    assert gprime == parsed and kept <= 32 * gprime.e
 
 
 def test_coloring_rejects_out_of_palette():
