@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from array import array
+from contextlib import suppress
 from pathlib import Path
 
 from .errors import ParseError
-from .graphs import Coloring, Graph, _bulk_columns, _fields, emit_dimacs_col, gen_gnp, is_proper_coloring
-from .graphs import parse_dimacs_col
+from .graphs import Coloring, Graph, _bulk_columns, _fields, _ints, emit_dimacs_col, gen_gnp, is_proper_coloring
+from .graphs import _ENDPOINT, parse_dimacs_col
 from .reduction import _project, lift_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import DEFAULT_BUDGET, solve
@@ -44,13 +46,12 @@ def _write_witness(path: str, c: Coloring):
 
 def _read_witness(path: str, n: int, k: int) -> Coloring:
     """The layout `_write_witness` writes is read in bulk, any other by `_walk_witness`, which alone raises."""
-    data, colors = Path(path).read_bytes(), []
-    for block in _bulk_columns(data, 0, b"v"):
-        in_order = block and block[0] == list(range(len(colors) + 1, len(colors) + len(block[0]) + 1))
-        if not (in_order and 0 <= min(block[1]) <= max(block[1]) < k):
-            return _walk_witness(data, n, k)
-        colors += block[1]
-    return Coloring(k, colors) if len(colors) == n else _walk_witness(data, n, k)
+    data = Path(path).read_bytes()
+    columns = _bulk_columns(data, 0, b"v", 0)
+    if columns and len(columns[0]) == n and columns[0] == array(_ENDPOINT, range(1, n + 1)):  # vertices 1..n in order
+        with suppress(ValueError):  # a color outside the palette: the walker names its line
+            return Coloring(k, columns[1])
+    return _walk_witness(data, n, k)
 
 
 def _walk_witness(text: bytes, n: int, k: int) -> Coloring:
@@ -58,10 +59,7 @@ def _walk_witness(text: bytes, n: int, k: int) -> Coloring:
     for lineno, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] != "v":
             raise ParseError(f"malformed witness line {line!r}", lineno)
-        try:
-            v, color = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", lineno) from None
+        v, color = _ints(parts[1:], line, lineno, "non-integer field in {line!r}")
         if not (1 <= v <= n):
             raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
         if not (0 <= color < k):

@@ -120,9 +120,8 @@ def is_proper_coloring(g: Graph, c: Coloring) -> bool:
 
 
 def _fields(text: str | bytes):
-    """Yield (line number from 1, stripped line, its fields) for every line
-    of a DIMACS-style text that is neither blank nor a `c` comment. The
-    format is ASCII: a non-ASCII character, which `int` may read as a
+    """Yield (line number from 1, stripped line, its fields) for every line of a DIMACS-style text that is neither
+    blank nor a `c` comment. The format is ASCII: a non-ASCII character, which `int` and `str.isdigit` may read as a
     digit, is a ParseError on its line, raised before any line is read."""
     text = text.decode("latin-1") if isinstance(text, bytes) else text  # no byte fails to decode as latin-1
     if not text.isascii():
@@ -135,47 +134,58 @@ def _fields(text: str | bytes):
 
 
 def _problem_counts(line: str, parts: list[str], kind: str, lineno: int) -> tuple[int, int]:
-    """The two counts of a `p <kind> <a> <b>` line (kind `edge` or `cnf`);
-    a negative vertex or variable count a is an error."""
+    """The two counts of a `p <kind> <a> <b>` line (kind `edge` or `cnf`); a negative vertex or variable count a,
+    or a vertex count above Graph's cap, is an error."""
     if len(parts) != 4 or parts[1] != kind:
         raise ParseError(f"malformed problem line {line!r}", lineno)
-    try:
-        a, b = int(parts[2]), int(parts[3])
-    except ValueError:
-        raise ParseError(f"non-integer counts in {line!r}", lineno) from None
+    a, b = _ints(parts[2:], line, lineno, "non-integer counts in {line!r}")
     if a < 0:
         raise ParseError(f"negative {'vertex' if kind == 'edge' else 'variable'} count {a}", lineno)
+    if kind == "edge" and a > 1 << _WIDTH:  # Graph's cap, checked before any edge line is read
+        raise ParseError(f"vertex count {a} above 2**{_WIDTH}", lineno)
     return a, b
+
+
+def _ints(fields: list[str], line: str, lineno: int, message: str):
+    """Yield each field as an int by the one integer grammar of kcol3's text formats: ASCII digits after at most one
+    `-`. Any other field, or one past int()'s digit limit, raises ParseError(message with line and field) on lineno."""
+    for field in fields:
+        with suppress(ValueError):  # int() refuses a field past its digit limit
+            if field.removeprefix("-").isdigit():
+                yield int(field)
+                continue
+        raise ParseError(message.format(line=line, field=field), lineno)
 
 
 _BULK_BLOCK = 1 << 16  # bytes per block of the bulk readers: it bounds their peak memory, not their speed
 
 
-def _bulk_columns(data: bytes, start: int, tag: bytes):
-    """Yield the two int columns of data[start:] block by block while every line is `<tag> <digits> <digits>`,
-    single-spaced and newline-ended; at the first doubt yield None and stop. Never raises."""
-    try:
+def _bulk_columns(data: bytes, start: int, tag: bytes, less: int):
+    """The two int columns of data[start:], each field less `less`, as `_ENDPOINT` arrays, if every line is
+    `<tag> <digits> <digits>`, single-spaced and newline-ended; else None. Converts block by block and never raises:
+    an empty field is a ValueError, a value outside a column's range an OverflowError."""
+    columns = array(_ENDPOINT), array(_ENDPOINT)
+    with suppress(ValueError, OverflowError):
         while start < len(data):
             stop = data.find(b"\n", start + _BULK_BLOCK) + 1 or len(data)
             block, start = data[start:stop], stop
             fields = block.replace(b"\n", b" \n ").split(b" ")  # an aligned line: tag, int, int, newline
-            lines = len(fields) // 4
-            if block.translate(None, b" \n0123456789" + tag) or fields[-1] or len(fields) != 4 * lines + 1 or (
-                fields[:-1:4].count(tag) + fields[3::4].count(b"\n") != 2 * lines
+            if block.translate(None, b" \n0123456789" + tag) or fields[-1] or len(fields) % 4 != 1 or (
+                fields[:-1:4].count(tag) + fields[3::4].count(b"\n") != len(fields) // 2  # a tag and a newline per line
             ):
-                raise ValueError
-            yield list(map(int, fields[1::4])), list(map(int, fields[2::4]))
-    except ValueError:
-        yield None
+                return None
+            for column, values in zip(columns, (list(map(int, fields[1::4])), list(map(int, fields[2::4])))):
+                column.extend(map(sub, values, repeat(less)) if less else values)
+        return columns
+    return None
 
 
 def parse_dimacs_col(text: str | bytes) -> Graph:
     """Parse DIMACS .col text into a canonical Graph.
 
-    Accepts `c` comment lines, exactly one `p edge <n> <e>` line, and
-    `e <u> <v>` lines with 1-indexed endpoints. Self-loops are rejected.
-    A repeated edge, either way round, collapses, and `e` counts it once.
-    The layout `emit_dimacs_col` writes is read in bulk, any other text by
+    Accepts `c` comment lines, exactly one `p edge <n> <e>` line, and `e <u> <v>` lines with 1-indexed endpoints,
+    each integer ASCII digits after at most one `-`. Self-loops are rejected. A repeated edge, either way round,
+    collapses, and `e` counts it once. The layout `emit_dimacs_col` writes is read in bulk, any other text by
     `_walk_dimacs_col`, line by line, with the same result or error.
     """
     data = text.encode("ascii", "replace") if isinstance(text, str) else text  # "?" fails every bulk check
@@ -183,17 +193,10 @@ def parse_dimacs_col(text: str | bytes) -> Graph:
     head = data[: start - 1].split(b" ")
     # A header of at most 64 bytes keeps its counts well inside the digit limit of int().
     if 0 < start <= 64 and len(head) == 4 and head[:2] == [b"p", b"edge"] and head[2].isdigit() and head[3].isdigit():
-        us, vs = array(_ENDPOINT), array(_ENDPOINT)
-        with suppress(ValueError, OverflowError):  # the walker names the fault; an endpoint 0 overflows a column
-            for block in _bulk_columns(data, start, b"e"):
-                if block is None:
-                    break
-                us.extend(map(sub, block[0], repeat(1)))
-                vs.extend(map(sub, block[1], repeat(1)))
-            else:
-                g = Graph(int(head[2]), columns=(us, vs))
-                if g.e == int(head[3]):
-                    return g
+        columns = _bulk_columns(data, start, b"e", 1)  # an endpoint 0 overflows a column
+        with suppress(ValueError):  # from Graph: the walker names the fault
+            if columns and (g := Graph(int(head[2]), columns=columns)).e == int(head[3]):
+                return g
     return _walk_dimacs_col(text)
 
 
@@ -212,10 +215,7 @@ def _walk_dimacs_col(text: str | bytes) -> Graph:
                 raise ParseError("edge line before p line", lineno)
             if len(parts) != 3:
                 raise ParseError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"non-integer endpoint in {line!r}", lineno) from None
+            u, v = _ints(parts[1:], line, lineno, "non-integer endpoint in {line!r}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"endpoint out of range 1..{n} in {line!r}", lineno)
             if u == v:

@@ -18,7 +18,7 @@ from itertools import combinations, product, repeat
 
 from .errors import InvariantViolation, ParseError
 from .gadgets import _chain_links, _link_columns
-from .graphs import Graph, _fields, _problem_counts
+from .graphs import Graph, _fields, _ints, _problem_counts
 from .reduction import reduce_to_3col, size_report
 from .solver import DEFAULT_BUDGET, solve
 
@@ -135,11 +135,7 @@ def parse_dimacs_cnf(text: str | bytes) -> CnfFormula:
             continue
         if var_count is None:
             raise ParseError("clause before p line", lineno)
-        for token in parts:
-            try:
-                lit = int(token)
-            except ValueError:
-                raise ParseError(f"bad literal {token!r}", lineno) from None
+        for lit in _ints(parts, line, lineno, "bad literal {field!r}"):
             if lit == 0:
                 if not current:
                     raise ParseError("empty clause", lineno)

@@ -192,9 +192,11 @@ def test_graph_caps_n_at_its_endpoint_width():
     width = 8 * array(kcol3.graphs._ENDPOINT).itemsize
     cap = 1 << width
     assert Graph(cap, ((cap - 1, 0),)).edges == ((0, cap - 1),)  # nothing is allocated per vertex
-    for build in (lambda: Graph(cap + 1, ()), lambda: parse_dimacs_col(f"p edge {cap + 1} 0\n")):
-        with pytest.raises(ValueError, match=rf"^vertex count {cap + 1} above 2\*\*{width}$"):
-            build()
+    with pytest.raises(ValueError, match=rf"^vertex count {cap + 1} above 2\*\*{width}$"):
+        Graph(cap + 1, ())
+    # The reader checks the p line's n before it reads any edge line, so the error names the p line.
+    with pytest.raises(ParseError, match=rf"^line 1: vertex count {cap + 1} above 2\*\*{width}$"):
+        parse_dimacs_col(f"p edge {cap + 1} 0\n")
 
 
 def test_every_build_path_runs_post_init_once(monkeypatch):
@@ -321,6 +323,14 @@ _COL_PARSE_ERRORS = {
     "p edge 2 1\nq\np edge 2 1\n": ("unrecognized line 'q'", 2),
     "c x\ne 1 2\np edge 2 1\ne 1 2\n": ("edge line before p line", 2),
     "p edge 4 2\ne\n1 2 e 3 4\n": ("malformed edge line 'e'", 2),  # as many fields as two edge lines
+    "p edge 4294967297 0\n": ("vertex count 4294967297 above 2**32", 1),  # Graph's cap, checked on the p line
+    "c x\np edge 4294967297 2\ne 1 2\ne 1 x\n": ("vertex count 4294967297 above 2**32", 2),
+    # The integer grammar: ASCII digits after at most one `-`, not whatever int() reads.
+    "p edge 10 1\ne 1_0 2\n": ("non-integer endpoint in 'e 1_0 2'", 2),
+    "p edge 10 1\ne 1 +2\n": ("non-integer endpoint in 'e 1 +2'", 2),
+    "p edge 10 1\ne 1 --2\n": ("non-integer endpoint in 'e 1 --2'", 2),
+    "p edge +10 1\n": ("non-integer counts in 'p edge +10 1'", 1),
+    "p edge 10 1\ne 1 2{}\n": ("non-integer endpoint in 'e 1 2{}'", 2),  # the message is not a format string
 }
 
 
@@ -376,11 +386,13 @@ def _read_noting_walker(read, walker_name, owner, *args):
         return _outcome(read, *args), spy.called
 
 
-# Layouts the line walker accepts other than the one emit_dimacs_col
-# writes, each with whether the line walker reads it: the bulk path takes
-# only single-spaced `e <digits> <digits>` lines after a `p edge` line.
+# Layouts other than the one emit_dimacs_col writes, each with how it is
+# read: True if the line walker reads the graph below, False if the bulk
+# path does (it takes only single-spaced `e <digits> <digits>` lines after
+# a `p edge` line), or the (message, line) of the ParseError the walker
+# raises: `+1` and `1_0`, which int() reads, are outside the integer grammar.
 @pytest.mark.parametrize(
-    "text, by_walker",
+    "text, read",
     [
         ("p\tedge 10 3\ne\t1 2\ne 1\t10\ne 2 4\n", True),
         ("p edge 10 3\r\ne 1 2\r\ne 1 10\r\ne 2 4\r\n", True),
@@ -391,8 +403,8 @@ def _read_noting_walker(read, walker_name, owner, *args):
         ("p edge 10 3\ne 1 2\ne 1 10\ne 2 4\n\n\n", True),
         ("p edge 10 3\ne 1 2\nc between edges\ne 1 10\ne 2 4\n", True),
         ("c before the p line\np edge 10 3\ne 1 2\ne 1 10\ne 2 4\n", True),
-        ("p edge 10 3\ne +1 2\ne 1 1_0\ne 2 +4\n", True),
-        ("p edge 1_0 3\ne 1 2\ne 1 10\ne 2 4\n", True),
+        ("p edge 10 3\ne +1 2\ne 1 1_0\ne 2 +4\n", ("line 2: non-integer endpoint in 'e +1 2'", 2)),
+        ("p edge 1_0 3\ne 1 2\ne 1 10\ne 2 4\n", ("line 1: non-integer counts in 'p edge 1_0 3'", 1)),
         ("p edge 10 3\ne 2 1\ne 10 1\ne 4 2\n", False),
         ("p edge 10 3\ne 1 2\ne 2 1\ne 1 10\ne 10 1\ne 2 4\ne 4 2\n", False),
     ],
@@ -402,11 +414,12 @@ def _read_noting_walker(read, walker_name, owner, *args):
         "underscore-in-header", "reversed-edges", "both-directions",
     ],
 )
-def test_parse_other_layouts(text, by_walker):
+def test_parse_other_layouts(text, read):
     expected = parse_dimacs_col("p edge 10 3\ne 1 2\ne 1 10\ne 2 4\n")
     assert expected == Graph(10, ((0, 1), (0, 9), (1, 3)))
+    outcome = (read, True) if isinstance(read, tuple) else (expected, read)
     for data in (text, text.encode()):
-        assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, data) == (expected, by_walker)
+        assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, data) == outcome
 
 
 def test_emitted_col_is_read_in_bulk():
@@ -414,9 +427,7 @@ def test_emitted_col_is_read_in_bulk():
     gprime, _ = reduce_to_3col(gen_gnp(80, 0.1, 1), 5)
     data = emit_dimacs_col(gprime).encode()
     assert len(data) > 2 * kcol3.graphs._BULK_BLOCK  # three blocks at least
-    blocks = list(_bulk_columns(data, data.index(b"\n") + 1, b"e"))
-    assert len(blocks) >= 3 and None not in blocks
-    assert sum(len(us) for us, _ in blocks) == gprime.e
+    assert _bulk_columns(data, data.index(b"\n") + 1, b"e", 1) == (gprime.us, gprime.vs)
     assert _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, data) == (gprime, False)
     # A fault in the last block sends the whole text to the walker, which names the line.
     faulty = data[: data.rindex(b"e ")] + b"e 3 3\n"
@@ -424,6 +435,20 @@ def test_emitted_col_is_read_in_bulk():
         (f"line {gprime.e + 1}: self-loop at vertex 3", gprime.e + 1),
         True,
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"e 0 1\n", b"e 1 4294967297\n", b"e  1\n", b"e 1 " + b"9" * 5000 + b"\n"],
+    ids=["endpoint-zero", "past-the-width", "empty-field", "past-int-digit-limit"],
+)
+def test_bulk_columns_give_none_at_the_first_doubt(line):
+    """An endpoint 0 or one past the column's width is an OverflowError, an empty field or one past int()'s digit
+    limit a ValueError: none of them escapes, in the first block or a later one."""
+    for data in (line, b"e 1 2\n" * 12000 + line):  # 72,000 bytes before the line: it is in the second block
+        assert _bulk_columns(data, 0, b"e", 1) is None
+    with pytest.raises(ParseError, match="^line 12002: "):
+        parse_dimacs_col(b"p edge 2 1\n" + b"e 1 2\n" * 12000 + line)
 
 
 # Insert, delete or replace one character, a few times over: the characters

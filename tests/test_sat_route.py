@@ -28,6 +28,7 @@ from kcol3 import (
 )
 from kcol3 import sat_route
 from kcol3.sat_route import comparison_to_json
+from test_graphs import MUTATIONS, mutate
 
 
 def all_graphs(n):
@@ -175,6 +176,12 @@ _CNF_PARSE_ERRORS = {
     "p cnf 1 1\n1\nc trailing comment\n\n": ("unterminated clause at end of input", 2),  # the last line with fields
     "p cnf 1 1\n0\n2 0\n": ("empty clause", 2),
     "p cnf 1 1\ny 0\np cnf 1 1\n": ("bad literal 'y'", 2),
+    # The integer grammar: ASCII digits after at most one `-`, not whatever int() reads.
+    "p cnf 1 1\n+1 0\n": ("bad literal '+1'", 2),
+    "p cnf 1 1\n1 0_0\n": ("bad literal '0_0'", 2),
+    "p cnf 1 1\n--1 0\n": ("bad literal '--1'", 2),
+    "p cnf 1_0 0\n": ("non-integer counts in 'p cnf 1_0 0'", 1),
+    "p cnf 1 1\n0 +1\n": ("empty clause", 2),  # a line's literals are read in turn, so its first fault wins
 }
 
 
@@ -184,6 +191,21 @@ def test_cnf_parse_errors(text):
     with pytest.raises(ParseError) as exc:
         parse_dimacs_cnf(text)
     assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_formulas(), MUTATIONS)
+@example(CnfFormula(1, ((1,),)), [("i", 10, "+")])  # "p cnf 1 1\n+1 0\n", which int() would read
+def test_cnf_parse_on_mutated_files(f, edits):
+    """.cnf has no bulk reader to compare with: a mutated file either raises ParseError or reads as a formula that
+    round-trips, and a file that reads has no `+` or `_` outside its comment lines (the integer grammar)."""
+    text = mutate(emit_dimacs_cnf(f), edits)
+    try:
+        read = parse_dimacs_cnf(text)
+    except ParseError:
+        return
+    assert parse_dimacs_cnf(emit_dimacs_cnf(read)) == read
+    assert not {"+", "_"} & set("".join(line for line in text.splitlines() if not line.strip().startswith("c")))
 
 
 def _builder_encoding(f):

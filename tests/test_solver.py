@@ -218,6 +218,21 @@ def test_pinned_counters(name):
     assert tuple(tuple(solve(graph, 3).counters) for graph in (g, gprime)) == PINNED_COUNTERS[name]
 
 
+# The pair rule skips a queued vertex whose domain is no longer two colors
+# when its turn comes. A line tracer shows that these two searches at k = 4
+# reach that skip, once and twice; a line tracer over the other tests finds
+# no other search that does.
+@pytest.mark.parametrize(
+    "g, counters",
+    [(gen_gnp(10, 0.7, 293), (6, 4, 1, 0, 6)), (gen_gnp(12, 0.5, 124), (8, 7, 5, 0, 7))],
+    ids=["gnp(10,0.7,293)", "gnp(12,0.5,124)"],
+)
+def test_pair_rule_skips_a_queued_vertex_no_longer_a_pair(g, counters):
+    outcome = solve(g, 4)
+    assert (outcome.status, tuple(outcome.counters)) == ("colorable", counters)
+    assert is_proper_coloring(g, outcome.witness)
+
+
 # Refuting K_{k+1} takes at most 3 decisions on G but 2·k! on G': the solver
 # breaks the symmetry of G's k colors, not the k! matching permutations of
 # G''s indicator columns (README, "Ground truth").
