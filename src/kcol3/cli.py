@@ -12,13 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from array import array
-from contextlib import suppress
 from pathlib import Path
 
-from .errors import ParseError
-from .graphs import Coloring, Graph, _bulk_columns, _fields, _ints, emit_dimacs_col, gen_gnp, is_proper_coloring
-from .graphs import _ENDPOINT, parse_dimacs_col
+from .graphs import Graph, _emit_witness, _read_witness, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
 from .reduction import _project, lift_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import DEFAULT_BUDGET, solve
@@ -40,44 +36,12 @@ def _read_source(args) -> Graph:
     return _read_graph(args.input)
 
 
-def _write_witness(path: str, c: Coloring):
-    Path(path).write_text("".join(f"v {v + 1} {color}\n" for v, color in enumerate(c.assignment)))
-
-
-def _read_witness(path: str, n: int, k: int) -> Coloring:
-    """The layout `_write_witness` writes is read in bulk, any other by `_walk_witness`, which alone raises."""
-    data = Path(path).read_bytes()
-    columns = _bulk_columns(data, 0, b"v", 0)
-    if columns and len(columns[0]) == n and columns[0] == array(_ENDPOINT, range(1, n + 1)):  # vertices 1..n in order
-        with suppress(ValueError):  # a color outside the palette: the walker names its line
-            return Coloring(k, columns[1])
-    return _walk_witness(data, n, k)
-
-
-def _walk_witness(text: bytes, n: int, k: int) -> Coloring:
-    assignment: list[int | None] = [None] * n
-    for lineno, line, parts in _fields(text):
-        if len(parts) != 3 or parts[0] != "v":
-            raise ParseError(f"malformed witness line {line!r}", lineno)
-        v, color = _ints(parts[1:], line, lineno, "non-integer field in {line!r}")
-        if not (1 <= v <= n):
-            raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
-        if not (0 <= color < k):
-            raise ParseError(f"color {color} out of range 0..{k - 1}", lineno)
-        if assignment[v - 1] is not None:
-            raise ParseError(f"duplicate line for vertex {v}", lineno)
-        assignment[v - 1] = color
-    if None in assignment:
-        raise ParseError(f"witness missing vertex {assignment.index(None) + 1}", 1)
-    return Coloring(k, assignment)
-
-
 def _cmd_reduce(args) -> int:
     g = _read_source(args)
     gprime, rmap = reduce_to_3col(g, args.k)
-    Path(args.output).write_text(emit_dimacs_col(gprime))
+    Path(args.output).write_text(emit_dimacs_col(gprime), newline="")
     if args.map:
-        Path(args.map).write_text(rmap.to_json())
+        Path(args.map).write_text(rmap.to_json(), newline="")
     rep = size_report(g, args.k)
     print(
         f"reduced n={rep.n} e={rep.e} k={rep.k} -> vertices={rep.vertices} edges={rep.edges} "
@@ -98,13 +62,13 @@ def _cmd_solve(args) -> int:
         return EXIT_FALSE
     print(f"colorable with {args.k} colors ({outcome.nodes} nodes)")
     if args.witness:
-        _write_witness(args.witness, outcome.witness)
+        Path(args.witness).write_text(_emit_witness(outcome.witness), newline="")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.input)
-    c = _read_witness(args.witness, g.n, args.k)
+    c = _read_witness(Path(args.witness).read_bytes(), g.n, args.k)
     if is_proper_coloring(g, c):
         print("witness valid")
         return EXIT_OK
@@ -139,7 +103,7 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_compare(args) -> int:
     g = _read_source(args)
     record = compare_routes(g, args.k, args.timeout)
-    Path(args.output).write_text(comparison_to_json(record))
+    Path(args.output).write_text(comparison_to_json(record), newline="")
     sane, sat = record["sane"], record["sat_route"]
     print(
         f"sane {sane['vertices']}v/{sane['edges']}e vs sat-route "
@@ -150,7 +114,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gen(args) -> int:
     g = gen_gnp(args.n, args.p, args.seed)
-    Path(args.output).write_text(emit_dimacs_col(g))
+    Path(args.output).write_text(emit_dimacs_col(g), newline="")
     print(f"wrote G({args.n}, {args.p}) seed={args.seed}: {g.e} edges")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Core graph and coloring types, DIMACS .col I/O, seeded random graphs.
+"""Core graph and coloring types, DIMACS .col and witness I/O, seeded random graphs.
 
 Vertices are dense indices 0..n-1 internally; DIMACS 1-indexing is confined
 to the parse/emit boundary. Graphs are simple and undirected: edges are
@@ -235,6 +235,38 @@ def emit_dimacs_col(g: Graph) -> str:
     """Canonical DIMACS .col text: header, then sorted 1-indexed edge lines."""
     lines = [f"e {u + 1} {v + 1}\n" for u, v in zip(g.us, g.vs)]
     return f"p edge {g.n} {g.e}\n" + "".join(lines)
+
+
+def _read_witness(data: bytes, n: int, k: int) -> Coloring:
+    """The layout `_emit_witness` writes is read in bulk, any other by `_walk_witness`, which alone raises."""
+    columns = _bulk_columns(data, 0, b"v", 0)
+    if columns and len(columns[0]) == n and columns[0] == array(_ENDPOINT, range(1, n + 1)):  # vertices 1..n in order
+        with suppress(ValueError):  # a color outside the palette: the walker names its line
+            return Coloring(k, columns[1])
+    return _walk_witness(data, n, k)
+
+
+def _walk_witness(text: bytes, n: int, k: int) -> Coloring:
+    assignment: list[int | None] = [None] * n
+    for lineno, line, parts in _fields(text):
+        if len(parts) != 3 or parts[0] != "v":
+            raise ParseError(f"malformed witness line {line!r}", lineno)
+        v, color = _ints(parts[1:], line, lineno, "non-integer field in {line!r}")
+        if not (1 <= v <= n):
+            raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
+        if not (0 <= color < k):
+            raise ParseError(f"color {color} out of range 0..{k - 1}", lineno)
+        if assignment[v - 1] is not None:
+            raise ParseError(f"duplicate line for vertex {v}", lineno)
+        assignment[v - 1] = color
+    if None in assignment:
+        raise ParseError(f"witness missing vertex {assignment.index(None) + 1}", 1)
+    return Coloring(k, assignment)
+
+
+def _emit_witness(c: Coloring) -> str:
+    """Witness text: one `v <vertex from 1> <color>` line per vertex, in vertex order."""
+    return "".join(f"v {v + 1} {color}\n" for v, color in enumerate(c.assignment))
 
 
 _MASK64 = (1 << 64) - 1

@@ -187,11 +187,10 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
 
     Deterministic: identical inputs give identical vertex numbering.
     """
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    rep = size_report(g, k)  # refuses a palette below 2 before anything is built
     rmap = ReductionMap(k, g.n, g.edges)
     gprime = rmap.reconstruct_graph()
-    fv, fe = formula_vertices(g.n, g.e, k), formula_edges(g.n, g.e, k)
+    fv, fe = rep.vertices, rep.edges
     if (gprime.n, gprime.e) != (fv, fe):
         raise InvariantViolation(f"constructed sizes ({gprime.n}, {gprime.e}) differ from closed forms ({fv}, {fe})")
     return gprime, rmap

@@ -1,5 +1,6 @@
 import json
 from array import array
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,8 +11,8 @@ import kcol3.cli
 import kcol3.graphs
 import kcol3.reduction
 from kcol3 import Coloring, ParseError, SolveOutcome, complete_graph, cycle_graph, emit_dimacs_col
-from kcol3.cli import _read_witness, _walk_witness, _write_witness, build_parser, main
-from kcol3.graphs import _bulk_columns
+from kcol3.cli import build_parser, main
+from kcol3.graphs import _bulk_columns, _emit_witness, _read_witness, _walk_witness
 from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
 
 
@@ -153,6 +154,26 @@ def test_solve_witness_then_verify(tmp_path, k4_file):
     assert main(["verify", "--k", "4", "--input", str(k4_file), "--witness", str(witness)]) == 0
 
 
+def test_written_files_are_byte_exact_under_text_mode_newlines(tmp_path, monkeypatch):
+    """Every file the CLI writes has LF line ends even where text mode writes a newline as CRLF, as on Windows."""
+
+    class CrlfTextModePath(type(Path())):
+        def write_text(self, data, encoding=None, errors=None, newline=None):
+            data = data.replace("\n", "\r\n") if newline is None else data
+            return super().write_text(data, encoding, errors, newline)
+
+    monkeypatch.setattr(kcol3.cli, "Path", CrlfTextModePath)
+    g, witness, gprime, sidecar, record = (tmp_path / name for name in ("g.col", "w.txt", "g3.col", "g3.json", "c.json"))
+    instance = ["--k", "4", "--input", str(g)]
+    assert main(["gen", "--model", "gnp", "--n", "12", "--p", "0.3", "--seed", "7", "--output", str(g)]) == 0
+    assert main(["solve", *instance, "--witness", str(witness)]) == 0
+    assert main(["reduce", *instance, "--output", str(gprime), "--map", str(sidecar)]) == 0
+    assert main(["compare", *instance, "--output", str(record)]) == 0
+    for path in (g, witness, gprime, sidecar, record):
+        data = path.read_bytes()
+        assert b"\n" in data and b"\r" not in data, path.name
+
+
 def test_verify_rejects_monochromatic_edge(tmp_path, k3_file):
     witness = tmp_path / "w.txt"
     witness.write_text("v 1 0\nv 2 0\nv 3 1\n")
@@ -200,11 +221,11 @@ def test_witness_errors(tmp_path, text):
     path = tmp_path / "w.txt"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ParseError) as exc:
-        _read_witness(str(path), 3, 3)
+        _read_witness(path.read_bytes(), 3, 3)
     assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
 
-# Layouts other than the one _write_witness writes, each read by the line
+# Layouts other than the one _emit_witness writes, each read by the line
 # walker for n = 4, k = 3 to the coloring (2, 0, 1, 0), or to the ParseError
 # it names: `+1` and `0_0`, which int() reads, are outside the integer grammar.
 @pytest.mark.parametrize(
@@ -227,10 +248,10 @@ def test_witness_errors(tmp_path, text):
 )
 def test_witness_other_layouts(tmp_path, text, read):
     canonical, path = tmp_path / "canonical.txt", tmp_path / "w.txt"
-    _write_witness(str(canonical), Coloring(3, (2, 0, 1, 0)))
-    assert _read_witness(str(canonical), 4, 3) == Coloring(3, (2, 0, 1, 0))
+    canonical.write_text(_emit_witness(Coloring(3, (2, 0, 1, 0))))
+    assert _read_witness(canonical.read_bytes(), 4, 3) == Coloring(3, (2, 0, 1, 0))
     path.write_text(text, newline="")
-    assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), 4, 3) == (
+    assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.graphs, path.read_bytes(), 4, 3) == (
         read or Coloring(3, (2, 0, 1, 0)),
         True,
     )
@@ -239,14 +260,14 @@ def test_witness_other_layouts(tmp_path, text, read):
 def test_written_witness_is_read_in_bulk(tmp_path):
     """A format change that sends every written witness to the line walker fails here."""
     path, coloring = tmp_path / "w.txt", Coloring(3, tuple(v * 7 % 3 for v in range(20000)))
-    _write_witness(str(path), coloring)
+    path.write_text(_emit_witness(coloring))
     data = path.read_bytes()
     assert len(data) > 2 * kcol3.graphs._BULK_BLOCK  # three blocks at least
     assert _bulk_columns(data, 0, b"v", 0) == (array("I", range(1, 20001)), array("I", coloring.assignment))
-    assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), 20000, 3) == (coloring, False)
+    assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.graphs, data, 20000, 3) == (coloring, False)
     # Any doubt in any block sends the whole text to the walker, which names the line.
     for n, k, message, line in ((20001, 3, "witness missing vertex 20001", 1), (20000, 2, "color 2 out of range 0..1", 3)):
-        assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), n, k) == (
+        assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.graphs, path.read_bytes(), n, k) == (
             (f"line {line}: {message}", line),
             True,
         )
@@ -258,7 +279,7 @@ def test_witness_read_equals_walker_on_mutated_files(tmp_path_factory, colors, e
     text = mutate("".join(f"v {v + 1} {c}\n" for v, c in enumerate(colors)), edits)
     path = tmp_path_factory.getbasetemp() / "mutated-witness.txt"
     path.write_bytes(text.encode())
-    assert _outcome(_read_witness, str(path), n, k) == _outcome(_walk_witness, text.encode(), n, k)
+    assert _outcome(_read_witness, path.read_bytes(), n, k) == _outcome(_walk_witness, text.encode(), n, k)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -267,12 +288,12 @@ def test_witness_read_equals_walker_on_mutated_files(tmp_path_factory, colors, e
 def test_witness_round_trip(tmp_path_factory, case, rng):
     k, colors = case
     coloring, n, path = Coloring(k, colors), len(colors), tmp_path_factory.getbasetemp() / "round-trip-witness.txt"
-    _write_witness(str(path), coloring)
-    read, by_walker = _read_noting_walker(_read_witness, "_walk_witness", kcol3.cli, str(path), n, k)
+    path.write_text(_emit_witness(coloring))
+    read, by_walker = _read_noting_walker(_read_witness, "_walk_witness", kcol3.graphs, path.read_bytes(), n, k)
     assert read == coloring and not by_walker
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(rng.sample(lines, len(lines))))
-    assert _read_witness(str(path), n, k) == _walk_witness(path.read_bytes(), n, k) == coloring
+    assert _read_witness(path.read_bytes(), n, k) == _walk_witness(path.read_bytes(), n, k) == coloring
 
 
 def test_solve_on_reduced_instance(tmp_path, k3_file):

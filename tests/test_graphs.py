@@ -21,16 +21,18 @@ from kcol3 import (
     ReductionMap,
     complete_graph,
     cycle_graph,
+    emit_dimacs_cnf,
     emit_dimacs_col,
     encode_cnf_as_3col,
     encode_col_as_cnf,
     formula_vertices,
     gen_gnp,
     is_proper_coloring,
+    parse_dimacs_cnf,
     parse_dimacs_col,
     reduce_to_3col,
 )
-from kcol3.graphs import _bulk_columns, _walk_dimacs_col
+from kcol3.graphs import _bulk_columns, _emit_witness, _read_witness, _walk_dimacs_col, _walk_witness
 
 
 def test_graph_canonicalizes_edges():
@@ -472,6 +474,51 @@ def test_parse_equals_walker_on_mutated_files(n, seed, edits, block):
     text = mutate(emit_dimacs_col(gen_gnp(n, 0.4, seed)), edits)
     with mock.patch.object(kcol3.graphs, "_BULK_BLOCK", block):
         assert _outcome(parse_dimacs_col, text) == _outcome(_walk_dimacs_col, text)
+
+
+_ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _respell(field: str, how: int, at: int) -> str:
+    """The integer `field` spelled so that Python's int() reads it and the formats' grammar does not: with an `_`
+    between two digits (after a leading 0, which int() allows), with Arabic-Indic digits, or with a `+` sign."""
+    sign, digits = ("-", "0" + field[1:]) if field.startswith("-") else ("", "0" + field)
+    at = 1 + at % (len(digits) - 1)
+    spellings = [sign + digits[:at] + "_" + digits[at:], field.translate(_ARABIC_INDIC_DIGITS)]
+    if not sign:  # int() refuses `+-1`
+        spellings.append("+" + field)
+    respelled = spellings[how % len(spellings)]
+    assert int(respelled) == int(field)
+    return respelled
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 7), st.integers(0, 20), st.integers(0, 999), st.integers(0, 99), st.integers(0, 2),
+       st.integers(0, 9))
+def test_every_reader_refuses_integers_only_int_reads(n, seed, line_pick, field_pick, how, at):
+    """One integer field of an emitted .col, witness and .cnf text, respelled, is a ParseError on its line in every
+    reader of that format: the grammar is ASCII digits after at most one `-`, on the bulk path and off it."""
+    g = gen_gnp(n, 0.4, seed)
+    coloring = Coloring(3, [v * seed % 3 for v in range(n)])
+    readers = {
+        emit_dimacs_col(g): (parse_dimacs_col, lambda data: parse_dimacs_col(data.decode()), _walk_dimacs_col),
+        _emit_witness(coloring): (lambda data: _read_witness(data, n, 3), lambda data: _walk_witness(data, n, 3)),
+        emit_dimacs_cnf(encode_col_as_cnf(g, 2)): (parse_dimacs_cnf,),
+    }
+    for text, reads in readers.items():
+        lines = text.splitlines(keepends=True)
+        lineno = 1 + line_pick % len(lines)
+        parts = lines[lineno - 1].split()
+        first = 2 if parts[0] == "p" else parts[0] in ("e", "v")  # the integer fields follow the line's tag(s)
+        pick = first + field_pick % (len(parts) - first)
+        respelled = _respell(parts[pick], how, at)
+        lines[lineno - 1] = " ".join(parts[:pick] + [respelled] + parts[pick + 1 :]) + "\n"
+        data = "".join(lines).encode()
+        for read in reads:
+            with pytest.raises(ParseError) as exc:
+                read(data)
+            assert exc.value.line == lineno, (text, lineno, respelled)
+            assert respelled in str(exc.value) or str(exc.value).endswith("non-ASCII character")
 
 
 def test_emit_k2():
