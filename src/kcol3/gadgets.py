@@ -10,11 +10,10 @@ across k inputs by composing base gadgets left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import ConstructionError, ExtensionError
-from .graphs import Graph
+from .graphs import Graph, _Frozen
 
 __all__ = [
     "GraphBuilder",
@@ -51,8 +50,7 @@ class GraphBuilder:
         return Graph(self.n, tuple(self.edges))
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(_Frozen):
     """One chain gadget: its internals are numbered from `internal_start`,
     above every boundary vertex, per link as y_i (the last link outputs z
     instead), a_i, b_i. Everything else is derived from these two fields."""
@@ -104,8 +102,7 @@ def _link_columns(prev, inputs, out, a) -> tuple[list[int], list[int]]:
     return us, vs
 
 
-@dataclass(frozen=True)
-class GadgetSemantics:
+class GadgetSemantics(_Frozen):
     """Exhaustive table: boundary coloring -> does a proper extension exist."""
 
     arity: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import compress, groupby, islice, repeat
 from math import ceil
 from operator import and_, lt, rshift, sub
@@ -32,8 +31,50 @@ _ENDPOINT = "I"  # typecode of Graph's endpoint columns
 _WIDTH = 8 * array(_ENDPOINT).itemsize  # bits per endpoint
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class _Frozen:
+    """Base of kcol3's immutable value types, which are not dataclasses: importing `dataclasses` slows every start-up.
+    A subclass's own annotated names are its fields, in order, and its `__match_args__`. It is built by position or
+    keyword, a field left out takes the class attribute of its name, and `__post_init__`, if defined, runs last.
+    Objects are equal by type and fields and hash by fields; assigning or deleting an attribute is an AttributeError."""
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__annotations__)  # from Python 3.10, the class's own annotations only
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self.__match_args__
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args) :]):  # unknown, or given twice
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each at most once")
+        fields = dict(zip(names, args), **kwargs)
+        for name in names:
+            if name not in fields:
+                if name not in vars(cls):
+                    raise TypeError(f"{cls.__name__}() missing field {name!r}")
+                fields[name] = vars(cls)[name]
+        vars(self).update(fields)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+class Graph(_Frozen):
     """Immutable simple undirected graph on vertices 0..n-1, held as two `_WIDTH`-bit endpoint columns, so n is at most
     2**_WIDTH: edge i is (us[i], vs[i]), us[i] < vs[i], in ascending order, each edge once. `edges`, any iterable of
     pairs, is read once; internal callers hand over two int columns of one length as `columns` instead."""
@@ -88,8 +129,7 @@ class Graph:
         return adj
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Frozen):
     """Total assignment of colors 0..palette_size-1 to vertices 0..len-1."""
 
     palette_size: int

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import eq
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
-from .graphs import _ENDPOINT, Coloring, Graph, is_proper_coloring
+from .graphs import _ENDPOINT, Coloring, Graph, _Frozen, is_proper_coloring
 
 __all__ = [
     "ReductionMap",
@@ -50,8 +49,7 @@ _GADGET_RECORD = (
 )
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(_Frozen):
     """The reduction of (k, n, edges), where `edges` is a source graph's
     canonical edge tuple (`Graph.edges`). Every vertex of G' is derived
     from these three fields."""
@@ -274,8 +272,7 @@ def formula_edges(n: int, e: int, k: int) -> int:
     return 3 + n * (5 * k * k + 7 * k - 10) // 2 + 5 * k * e
 
 
-@dataclass(frozen=True)
-class SizeReport:
+class SizeReport(_Frozen):
     """Exact output sizes (the closed forms) vs the crude upper bounds
     2k^2 n + 2ke (vertices) and 3k^2 n + 2ke (edges).
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import combinations, product, repeat
 
 from .errors import InvariantViolation, ParseError
 from .gadgets import _chain_links, _link_columns
-from .graphs import Graph, _fields, _ints, _problem_counts
+from .graphs import Graph, _fields, _Frozen, _ints, _problem_counts
 from .reduction import reduce_to_3col, size_report
 from .solver import DEFAULT_BUDGET, solve
 
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Frozen):
     """CNF over variables 1..var_count; literals are signed indices."""
 
     var_count: int
@@ -66,8 +64,7 @@ def encode_col_as_cnf(g: Graph, k: int) -> CnfFormula:
     return CnfFormula(g.n * k, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class CnfGraphMap:
+class CnfGraphMap(_Frozen):
     """Locates the base triangle and literal vertices in the encoded graph."""
 
     t_vertex: int

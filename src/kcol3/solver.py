@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 from .errors import InvariantViolation, SolveTimeout
-from .graphs import Coloring, Graph, is_proper_coloring
+from .graphs import Coloring, Graph, _Frozen, is_proper_coloring
 
 __all__ = ["SolveCounters", "SolveOutcome", "solve", "decide", "DEFAULT_BUDGET"]
 
@@ -58,20 +57,15 @@ DEFAULT_BUDGET = 10.0
 _FIXPOINT, _OUT_OF_TIME = -1, -2  # propagate's results besides a wiped-out vertex
 
 
-class SolveCounters(NamedTuple):
-    """What one search did. Every coloring is a decision or forced, and
-    `SolveOutcome.nodes` is their sum. (A NamedTuple: a frozen dataclass
-    would add about 1.3 ms to importing the package.)"""
-
-    decisions: int = 0  # colors tried at a frame
-    forced: int = 0  # vertices colored by propagation
-    pair_prunes: int = 0  # domains shrunk by the pair rule
-    backjumps: int = 0  # dead ends that jumped past at least one frame
-    max_depth: int = 0  # most frames on the stack at once
+SolveCounters = namedtuple("SolveCounters", "decisions forced pair_prunes backjumps max_depth", defaults=(0,) * 5)
+SolveCounters.__doc__ = """What one search did, each count 0 by default: decisions (colors tried at a frame), forced
+(vertices colored by propagation), pair_prunes (domains shrunk by the pair rule), backjumps (dead ends that jumped
+past at least one frame) and max_depth (most frames on the stack at once). Every coloring is a decision or forced, and
+`SolveOutcome.nodes` is their sum. (A `collections.namedtuple`: `typing.NamedTuple` would import `typing` on every
+start-up, and the counters are a tuple, which the frozen-value base of the other value types does not make.)"""
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(_Frozen):
     status: str  # "colorable" | "uncolorable" | "timeout"
     witness: Coloring | None
     wall_time: float

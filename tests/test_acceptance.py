@@ -230,11 +230,11 @@ def test_criterion_7_determinism_and_round_trips(sweep, tmp_path):
 
     # CLI exit codes across representative cases
     k3 = tmp_path / "k3.col"
-    k3.write_text(emit_dimacs_col(complete_graph(3)))
+    k3.write_text(emit_dimacs_col(complete_graph(3)), newline="")
     k4 = tmp_path / "k4.col"
-    k4.write_text(emit_dimacs_col(complete_graph(4)))
+    k4.write_text(emit_dimacs_col(complete_graph(4)), newline="")
     bad = tmp_path / "bad.col"
-    bad.write_text("p edge 2 1\ne 1 1\n")
+    bad.write_text("p edge 2 1\ne 1 1\n", newline="")
     out = tmp_path / "out"
     cli_cases = [
         (["solve", "--k", "4", "--input", str(k4)], 0),

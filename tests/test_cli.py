@@ -19,14 +19,14 @@ from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
 @pytest.fixture
 def k3_file(tmp_path):
     path = tmp_path / "k3.col"
-    path.write_text(emit_dimacs_col(complete_graph(3)))
+    path.write_text(emit_dimacs_col(complete_graph(3)), newline="")
     return path
 
 
 @pytest.fixture
 def k4_file(tmp_path):
     path = tmp_path / "k4.col"
-    path.write_text(emit_dimacs_col(complete_graph(4)))
+    path.write_text(emit_dimacs_col(complete_graph(4)), newline="")
     return path
 
 
@@ -115,14 +115,14 @@ def test_reduce_deterministic(tmp_path, k3_file):
 
 def test_reduce_malformed_input(tmp_path):
     bad = tmp_path / "bad.col"
-    bad.write_text("p edge 2 1\ne 1 1\n")
+    bad.write_text("p edge 2 1\ne 1 1\n", newline="")
     rc = main(["reduce", "--k", "3", "--input", str(bad), "--output", str(tmp_path / "o.col")])
     assert rc == 2
 
 
 def test_solve_rejects_wrong_declared_edge_count(tmp_path, capsys):
     bad = tmp_path / "bad.col"
-    bad.write_text("p edge 3 7\ne 1 2\n")
+    bad.write_text("p edge 3 7\ne 1 2\n", newline="")
     assert main(["solve", "--k", "3", "--input", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
 
@@ -176,19 +176,19 @@ def test_written_files_are_byte_exact_under_text_mode_newlines(tmp_path, monkeyp
 
 def test_verify_rejects_monochromatic_edge(tmp_path, k3_file):
     witness = tmp_path / "w.txt"
-    witness.write_text("v 1 0\nv 2 0\nv 3 1\n")
+    witness.write_text("v 1 0\nv 2 0\nv 3 1\n", newline="")
     assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 1
 
 
 def test_verify_missing_vertex_is_usage_error(tmp_path, k3_file):
     witness = tmp_path / "w.txt"
-    witness.write_text("v 1 0\nv 2 1\n")
+    witness.write_text("v 1 0\nv 2 1\n", newline="")
     assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 2
 
 
 def test_verify_rejects_duplicate_vertex_line(tmp_path, k3_file, capsys):
     witness = tmp_path / "w.txt"
-    witness.write_text("v 1 0\nv 2 1\nv 3 2\nv 1 1\n")
+    witness.write_text("v 1 0\nv 2 1\nv 3 2\nv 1 1\n", newline="")
     assert main(["verify", "--k", "3", "--input", str(k3_file), "--witness", str(witness)]) == 2
     assert "line 4" in capsys.readouterr().err
 
@@ -248,7 +248,7 @@ def test_witness_errors(tmp_path, text):
 )
 def test_witness_other_layouts(tmp_path, text, read):
     canonical, path = tmp_path / "canonical.txt", tmp_path / "w.txt"
-    canonical.write_text(_emit_witness(Coloring(3, (2, 0, 1, 0))))
+    canonical.write_text(_emit_witness(Coloring(3, (2, 0, 1, 0))), newline="")
     assert _read_witness(canonical.read_bytes(), 4, 3) == Coloring(3, (2, 0, 1, 0))
     path.write_text(text, newline="")
     assert _read_noting_walker(_read_witness, "_walk_witness", kcol3.graphs, path.read_bytes(), 4, 3) == (
@@ -260,7 +260,7 @@ def test_witness_other_layouts(tmp_path, text, read):
 def test_written_witness_is_read_in_bulk(tmp_path):
     """A format change that sends every written witness to the line walker fails here."""
     path, coloring = tmp_path / "w.txt", Coloring(3, tuple(v * 7 % 3 for v in range(20000)))
-    path.write_text(_emit_witness(coloring))
+    path.write_text(_emit_witness(coloring), newline="")
     data = path.read_bytes()
     assert len(data) > 2 * kcol3.graphs._BULK_BLOCK  # three blocks at least
     assert _bulk_columns(data, 0, b"v", 0) == (array("I", range(1, 20001)), array("I", coloring.assignment))
@@ -288,11 +288,11 @@ def test_witness_read_equals_walker_on_mutated_files(tmp_path_factory, colors, e
 def test_witness_round_trip(tmp_path_factory, case, rng):
     k, colors = case
     coloring, n, path = Coloring(k, colors), len(colors), tmp_path_factory.getbasetemp() / "round-trip-witness.txt"
-    path.write_text(_emit_witness(coloring))
+    path.write_text(_emit_witness(coloring), newline="")
     read, by_walker = _read_noting_walker(_read_witness, "_walk_witness", kcol3.graphs, path.read_bytes(), n, k)
     assert read == coloring and not by_walker
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(rng.sample(lines, len(lines))))
+    path.write_text("".join(rng.sample(lines, len(lines))), newline="")
     assert _read_witness(path.read_bytes(), n, k) == _walk_witness(path.read_bytes(), n, k) == coloring
 
 
@@ -329,7 +329,7 @@ def test_roundtrip_uncolorable(k4_file):
 
 def test_roundtrip_timeout(tmp_path):
     big = tmp_path / "big.col"
-    big.write_text(emit_dimacs_col(complete_graph(9)))
+    big.write_text(emit_dimacs_col(complete_graph(9)), newline="")
     assert main(["roundtrip", "--k", "5", "--input", str(big), "--timeout", "0"]) == 3
 
 
@@ -366,7 +366,7 @@ def test_compare_record(tmp_path, k3_file):
 
 def test_compare_edgeless_single_vertex(tmp_path):
     src = tmp_path / "one.col"
-    src.write_text("p edge 1 0\n")
+    src.write_text("p edge 1 0\n", newline="")
     out = tmp_path / "cmp.json"
     assert main(["compare", "--k", "2", "--input", str(src), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["sane"]["vertices"] == 9
@@ -374,7 +374,7 @@ def test_compare_edgeless_single_vertex(tmp_path):
 
 def test_compare_malformed_input(tmp_path):
     bad = tmp_path / "bad.col"
-    bad.write_text("hello\n")
+    bad.write_text("hello\n", newline="")
     assert main(["compare", "--k", "3", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
 
 
@@ -405,7 +405,7 @@ def test_missing_input_file(tmp_path):
 
 def test_solve_odd_cycle(tmp_path):
     path = tmp_path / "c5.col"
-    path.write_text(emit_dimacs_col(cycle_graph(5)))
+    path.write_text(emit_dimacs_col(cycle_graph(5)), newline="")
     assert main(["solve", "--k", "2", "--input", str(path)]) == 1
     assert main(["solve", "--k", "3", "--input", str(path)]) == 0
 
