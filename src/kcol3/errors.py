@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ParseError", "ConstructionError", "ExtensionError", "InvariantViolation", "SolveTimeout"]
+__all__ = ["ParseError", "ConstructionError", "ExtensionError", "InvariantViolation"]
 
 
 class ParseError(ValueError):
@@ -25,6 +25,3 @@ class ExtensionError(RuntimeError):
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; signals a construction bug."""
 
-
-class SolveTimeout(RuntimeError):
-    """Decision could not be reached within the solver budget."""

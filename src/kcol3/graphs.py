@@ -24,7 +24,6 @@ __all__ = [
     "emit_dimacs_col",
     "gen_gnp",
     "complete_graph",
-    "cycle_graph",
 ]
 
 _ENDPOINT = "I"  # typecode of Graph's endpoint columns
@@ -354,8 +353,3 @@ def complete_graph(n: int) -> Graph:
         raise ValueError("need at least one vertex")
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))

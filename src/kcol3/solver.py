@@ -48,10 +48,10 @@ import time
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
-from .errors import InvariantViolation, SolveTimeout
+from .errors import InvariantViolation
 from .graphs import Coloring, Graph, _Frozen, is_proper_coloring
 
-__all__ = ["SolveCounters", "SolveOutcome", "solve", "decide", "DEFAULT_BUDGET"]
+__all__ = ["SolveCounters", "SolveOutcome", "solve", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10.0
 _FIXPOINT, _OUT_OF_TIME = -1, -2  # propagate's results besides a wiped-out vertex
@@ -300,11 +300,3 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         raise InvariantViolation("search produced an improper witness")
     return outcome("colorable", witness)
 
-
-def decide(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> bool:
-    """Boolean convenience wrapper; a timeout raises SolveTimeout instead
-    of being coerced to either answer."""
-    outcome = solve(g, k, budget)
-    if outcome.status == "timeout":
-        raise SolveTimeout(f"no decision for (n={g.n}, k={k}) within {budget}s")
-    return outcome.status == "colorable"

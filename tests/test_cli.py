@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import kcol3.cli
 import kcol3.graphs
 import kcol3.reduction
-from kcol3 import Coloring, ParseError, SolveOutcome, complete_graph, cycle_graph, emit_dimacs_col
+from kcol3 import Coloring, ParseError, SolveOutcome, complete_graph, emit_dimacs_col
 from kcol3.cli import build_parser, main
 from kcol3.graphs import _bulk_columns, _emit_witness, _read_witness, _walk_witness
 from test_graphs import MUTATIONS, _outcome, _read_noting_walker, mutate
+from test_solver import cycle_graph
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from kcol3 import (
     ParseError,
     ReductionMap,
     complete_graph,
-    cycle_graph,
     emit_dimacs_cnf,
     emit_dimacs_col,
     encode_cnf_as_3col,
@@ -56,6 +55,7 @@ def test_graph_rejects_self_loop_and_range():
         pytest.param([0, 1], [1, 1], "self-loop at vertex 1", id="self-loop"),
         pytest.param([0, 5, 2], [1, 0, 9], "edge (5,0) out of range for n=3", id="out-of-range"),
         pytest.param([0, 1, 0], [1, 7, 5], "edge (1,7) out of range for n=3", id="oriented-out-of-range"),
+        pytest.param([2, 1], [0, 5], "edge (1,5) out of range for n=3", id="vertex-0-in-range"),
     ],
 )
 @pytest.mark.parametrize(
@@ -679,5 +679,3 @@ def test_coloring_needs_a_positive_palette():
 def test_named_graphs_refuse_too_few_vertices():
     with pytest.raises(ValueError, match="^need at least one vertex$"):
         complete_graph(0)
-    with pytest.raises(ValueError, match="^cycle needs at least three vertices$"):
-        cycle_graph(2)

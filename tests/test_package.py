@@ -1,7 +1,9 @@
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import kcol3
 
@@ -27,10 +29,39 @@ def test_public_names_are_the_union_of_the_module_exports():
         for attr in module.__all__:
             assert attr not in exported, f"{attr} is exported by both {exported[attr].__name__} and {module.__name__}"
             exported[attr] = module
-    assert len(exported) == 40
+    assert len(exported) == 37
     assert public == set(exported) | set(MODULES)  # so kcol3.cli is not among them
     for attr, module in exported.items():
         assert getattr(kcol3, attr) is getattr(module, attr)
         defined_in = getattr(getattr(module, attr), "__module__", module.__name__)
         assert defined_in == module.__name__, f"{attr} is re-exported by {module.__name__}, not defined there"
     assert kcol3.__version__ == "0.1.0"
+
+
+def _defined(statement) -> set:
+    """The names a top-level statement defines: a def, a class or assignment targets."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return {node.id for target in targets if target for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def test_every_public_name_has_a_caller():
+    """A name in a module's `__all__` is read by the library outside its own definition, imported from
+    or reached through `kcol3` by the acceptance tests, or by perfbench's code. Other tests do not count."""
+    root = Path(__file__).resolve().parent.parent
+    called = set()
+    for path in (root / "src" / "kcol3").glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            nodes = list(ast.walk(statement))
+            reads = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            reads |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            called |= reads - _defined(statement)
+    perfbench = [path for path in (root / "perfbench").glob("*.py") if not path.name.startswith("test_")]
+    for path in [root / "tests" / "test_acceptance.py", *perfbench]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kcol3":
+                called.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value).split(".")[0] == "kcol3":
+                called.add(node.attr)
+    assert sorted(name for module in MODULES.values() for name in module.__all__ if name not in called) == []

@@ -17,7 +17,6 @@ from kcol3 import (
     cnf_satisfiable_brute_force,
     compare_routes,
     complete_graph,
-    decide,
     emit_dimacs_cnf,
     encode_cnf_as_3col,
     encode_col_as_cnf,
@@ -80,7 +79,7 @@ def test_cnf_satisfiability_matches_colorability():
                 if k * n > 12:
                     continue
                 cnf = encode_col_as_cnf(g, k)
-                assert cnf_satisfiable_brute_force(cnf) == decide(g, k)
+                assert solve(g, k).status == ("colorable" if cnf_satisfiable_brute_force(cnf) else "uncolorable")
 
 
 def test_unit_clause_graph_colorable():
@@ -117,10 +116,14 @@ def test_micro_scale_soundness():
 
 
 def test_end_to_end_route_equivalence():
-    cases = [(complete_graph(4), 3, False), (complete_graph(4), 4, True), (complete_graph(3), 3, True)]
+    cases = [
+        (complete_graph(4), 3, "uncolorable"),
+        (complete_graph(4), 4, "colorable"),
+        (complete_graph(3), 3, "colorable"),
+    ]
     for g, k, expected in cases:
         encoded, _ = encode_cnf_as_3col(encode_col_as_cnf(g, k))
-        assert (solve(encoded, 3).status == "colorable") == expected == decide(g, k)
+        assert solve(encoded, 3).status == expected == solve(g, k).status
 
 
 def test_emit_dimacs_cnf():
@@ -317,9 +320,10 @@ def test_compare_checks_each_graph_it_builds(monkeypatch):
 
 
 def test_compare_routes_decisions_agree():
-    for g, k in [(complete_graph(3), 3), (complete_graph(4), 3)]:
+    for g, k, expected in [(complete_graph(3), 3, "colorable"), (complete_graph(4), 3, "uncolorable")]:
+        assert solve(g, k).status == expected
         record = compare_routes(g, k)
-        assert record["decisions"]["sane"] == record["decisions"]["sat_route"] == decide(g, k)
+        assert record["decisions"]["sane"] == record["decisions"]["sat_route"] == (expected == "colorable")
 
 
 def test_sane_route_strictly_smaller():

@@ -13,10 +13,7 @@ from kcol3 import (
     Graph,
     InvariantViolation,
     SolveCounters,
-    SolveTimeout,
     complete_graph,
-    cycle_graph,
-    decide,
     gen_gnp,
     is_proper_coloring,
     reduce_to_3col,
@@ -25,12 +22,14 @@ from kcol3 import (
 from kcol3 import solver
 
 
-def brute_force_colorable(g: Graph, k: int) -> bool:
+def brute_force_status(g: Graph, k: int) -> str:
     """Independent oracle: enumerate all k^n assignments."""
-    return any(
-        all(c[u] != c[v] for u, v in g.edges)
-        for c in product(range(k), repeat=g.n)
-    )
+    colorable = any(all(c[u] != c[v] for u, v in g.edges) for c in product(range(k), repeat=g.n))
+    return "colorable" if colorable else "uncolorable"
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def all_graphs(n):
@@ -58,49 +57,40 @@ def test_witnesses_are_proper():
             assert is_proper_coloring(g, outcome.witness)
 
 
-def test_decide_basics():
-    assert decide(Graph(10, ()), 1) is True
-    assert decide(complete_graph(2), 1) is False
-    assert decide(cycle_graph(5), 2) is False
-    assert decide(cycle_graph(5), 3) is True
-    assert decide(cycle_graph(6), 2) is True
-
-
-def test_decide_timeout_is_an_exception_not_a_bool():
-    big, _ = reduce_to_3col(gen_gnp(12, 0.5, 3), 4)
-    with pytest.raises(SolveTimeout):
-        decide(big, 3, budget=0.0)
+def test_solve_basics():
+    assert solve(Graph(10, ()), 1).status == "colorable"
+    assert solve(complete_graph(2), 1).status == "uncolorable"
+    assert solve(cycle_graph(5), 2).status == "uncolorable"
+    assert solve(cycle_graph(5), 3).status == "colorable"
+    assert solve(cycle_graph(6), 2).status == "colorable"
 
 
 @pytest.mark.parametrize("g", [Graph(0, ()), complete_graph(3)], ids=["empty", "k3"])
 def test_nan_budget_is_refused(g):
-    for run in (solve, decide):
-        with pytest.raises(ValueError, match="budget must be a number of seconds, got nan"):
-            run(g, 3, math.nan)
+    with pytest.raises(ValueError, match="budget must be a number of seconds, got nan"):
+        solve(g, 3, math.nan)
 
 
 def test_agreement_with_exhaustive_enumeration():
     for n in range(1, 5):
         for g in all_graphs(n):
             for k in (1, 2, 3):
-                assert decide(g, k) == brute_force_colorable(g, k), (n, g.edges, k)
+                assert solve(g, k).status == brute_force_status(g, k), (n, g.edges, k)
 
 
 def test_agreement_on_n5_samples():
     for seed in range(40):
         g = gen_gnp(5, 0.5, seed)
         for k in (1, 2, 3):
-            assert decide(g, k) == brute_force_colorable(g, k)
+            assert solve(g, k).status == brute_force_status(g, k)
 
 
 def test_monotonicity_in_k():
     for seed in range(15):
         g = gen_gnp(7, 0.5, seed)
-        prev = False
-        for k in range(1, 6):
-            cur = decide(g, k)
-            assert not (prev and not cur)
-            prev = cur
+        statuses = [solve(g, k).status for k in range(1, 6)]
+        refuted = statuses.count("uncolorable")
+        assert statuses == ["uncolorable"] * refuted + ["colorable"] * (5 - refuted), seed
 
 
 def test_determinism_of_witness_and_node_count():
@@ -124,6 +114,7 @@ def test_empty_graph():
     outcome = solve(Graph(0, ()), 2)
     assert outcome.status == "colorable"
     assert len(outcome.witness) == 0
+    assert outcome.wall_time >= 0
 
 
 def test_rejects_nonpositive_k():
@@ -292,16 +283,24 @@ def test_backjumping_decides_generator_order_reduction():
     # backjumping skips dead subtrees and needs 5,522.
     gprime, _ = reduce_to_3col(gen_gnp(250, 0.0095, 1020), 3)
     outcome = solve(gprime, 3)
-    assert outcome.status == "colorable"
+    assert (outcome.status, tuple(outcome.counters)) == ("colorable", (1062, 4460, 270, 1, 1051))
     assert is_proper_coloring(gprime, outcome.witness)
-    assert outcome.counters.backjumps >= 1
+
+
+def test_a_backjump_over_one_frame_counts_once():
+    # This search backjumps once, over one frame: a count that skipped
+    # one-frame jumps would read 0, and one that counted a jump twice 2.
+    g = gen_gnp(20, 0.3, 97)
+    outcome = solve(g, 4)
+    assert (outcome.status, tuple(outcome.counters)) == ("colorable", (15, 39, 2, 1, 9))
+    assert is_proper_coloring(g, outcome.witness)
 
 
 def test_agreement_on_dense_n8_draws():
     # Most of these need real backtracking, which exercises the conflict sets.
     for seed in range(40):
         g = gen_gnp(8, 0.5 + 0.05 * (seed % 5), seed)
-        assert decide(g, 3) == brute_force_colorable(g, 3), seed
+        assert solve(g, 3).status == brute_force_status(g, 3), seed
 
 
 def test_huge_palette_costs_no_k_bit_domains():
