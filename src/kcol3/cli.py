@@ -26,14 +26,10 @@ EXIT_TIMEOUT = 3
 EXIT_INVARIANT = 4
 
 
-def _read_graph(path: str) -> Graph:
-    return parse_dimacs_col(Path(path).read_bytes())
-
-
-def _read_source(args) -> Graph:
-    if args.k < 2:  # before the file is read, so a bad palette is reported whatever the path
-        raise ValueError("--k must be at least 2")
-    return _read_graph(args.input)
+def _read_source(args, least: int = 2) -> Graph:
+    if args.k < least:  # before any file is read, so a bad palette is reported whatever the paths
+        raise ValueError(f"--k must be at least {least}")
+    return parse_dimacs_col(Path(args.input).read_bytes())
 
 
 def _cmd_reduce(args) -> int:
@@ -52,7 +48,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _read_graph(args.input)
+    g = _read_source(args, 1)
     outcome = solve(g, args.k, args.timeout)
     if outcome.status == "timeout":
         print(f"timeout after {outcome.wall_time:.2f}s ({outcome.nodes} nodes)")
@@ -67,7 +63,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.input)
+    g = _read_source(args, 1)
     c = _read_witness(Path(args.witness).read_bytes(), g.n, args.k)
     if is_proper_coloring(g, c):
         print("witness valid")

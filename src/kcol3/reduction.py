@@ -21,9 +21,11 @@ chains one by one, and blocks 4 and 5, whose gadgets are all base gadgets
 from __future__ import annotations
 
 import json
+import re
 from array import array
+from contextlib import suppress
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import eq
 
 from .errors import InvariantViolation
@@ -42,11 +44,25 @@ __all__ = [
 ]
 
 
-# One gadget record of the sidecar, as `json.dumps(..., indent=2)` lays it out.
-_GADGET_RECORD = (
-    '    {\n      "tag": "%s",\n      "boundary": [\n        %s\n      ],\n'
-    '      "internal_start": %d,\n      "internal_len": %d\n    }'
-)
+_BLOCK = 256  # gadget records per `%` in the sidecar writer: bounds each block's template and value tuple
+_HEAD = re.compile(r'\{\n  "k": ([0-9]{1,20}),\n  "n": ([0-9]{1,20}),\n  "e": ([0-9]{1,20}),\n')
+_EDGE_TAG = re.compile(r'"edge-conflict:([0-9]{1,20}):([0-9]{1,20}):0"')
+
+
+def _record_blocks(tags, width: int, count: int, columns):
+    """`count` gadget records with `width` boundary vertices, laid out as `json.dumps(..., indent=2)` does, in
+    blocks of at most _BLOCK. A block is one `%` of a repeated record template against the next tags and
+    `columns(lo, hi)`, the boundary and internal_start columns of records lo..hi-1, interleaved record by record."""
+    boundary = ",\n".join(["        %d"] * width)
+    template = f'    {{\n      "tag": "%s",\n      "boundary": [\n{boundary}\n      ],\n      "internal_start": %d,\n'
+    template += f'      "internal_len": {3 * width - 7}\n    }}'
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        fields = [list(islice(tags, hi - lo)), *columns(lo, hi)]
+        values = [0] * (len(fields) * (hi - lo))
+        for j, field in enumerate(fields):
+            values[j :: len(fields)] = field
+        yield ",\n".join([template] * (hi - lo)) % tuple(values)
 
 
 class ReductionMap(_Frozen):
@@ -78,21 +94,22 @@ class ReductionMap(_Frozen):
         start, step = 3 + self.n * self.k, 3 * self.k - 4
         return zip(((*row, self.t_vertex) for row in self.indicator), range(start, start + self.n * step, step))
 
-    def _base_gadgets(self) -> tuple[int, list[int], list[int]]:
-        """(start, xs, ys): the i-th gadget `_tags` names after the chains is (xs[i], ys[i], F), with internals
-        start + 2i and start + 2i + 1. Edge (u, v)'s gadget for color c joins v_uc and v_vc."""
+    def _base_gadgets(self) -> tuple[range, list[int], list[int]]:
+        """(starts, xs, ys): the i-th gadget `_tags` names after the chains is (xs[i], ys[i], F), with internals
+        starts[i] and starts[i] + 1. Edge (u, v)'s gadget for color c joins v_uc and v_vc."""
         k, n = self.k, self.n
         ind = list(range(3, 3 + n * k))  # one int object per indicator, shared by both columns
         rows = [ind[i : i + k] for i in range(0, n * k, k)]
         pairs = list(combinations(range(k), 2)) if n else []  # no k^2 walk when n = 0
         xs = [row[j1] for row in rows for j1, _ in pairs] + [x for u, _ in self.edges for x in rows[u]]
         ys = [row[j2] for row in rows for _, j2 in pairs] + [y for _, v in self.edges for y in rows[v]]
-        return 3 + n * (4 * k - 4), xs, ys
+        start = 3 + n * (4 * k - 4)
+        return range(start, start + 2 * len(xs), 2), xs, ys
 
     def _boundaries(self):
         """(boundary, internal_start) for every gadget in construction order."""
-        start, xs, ys = self._base_gadgets()
-        return chain(self._chains(), zip(zip(xs, ys, repeat(self.f_vertex)), range(start, start + 2 * len(xs), 2)))
+        starts, xs, ys = self._base_gadgets()
+        return chain(self._chains(), zip(zip(xs, ys, repeat(self.f_vertex)), starts))
 
     def _tags(self):
         """The sidecar tag of every gadget, in the order of `_boundaries`."""
@@ -108,8 +125,8 @@ class ReductionMap(_Frozen):
         gadget wiring. Built once per map and shared by its callers, which must not mutate the arrays."""
         t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k
         prev, inputs, out, a = _chain_links(self._chains())
-        start, xs, ys = self._base_gadgets()
-        a += range(start, start + 2 * len(xs), 2)
+        starts, xs, ys = self._base_gadgets()
+        a += starts
         us, vs = _link_columns(prev + xs, inputs + ys, out + [f] * len(xs), a)
         return array(_ENDPOINT, [t, t, f, *repeat(r, m), *us]), array(_ENDPOINT, [f, r, r, *range(3, 3 + m), *vs])
 
@@ -121,34 +138,57 @@ class ReductionMap(_Frozen):
         return Graph(max(vs) + 1, columns=(us, vs))
 
     def _header(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "e": self.e,
-            "t": self.t_vertex,
-            "f": self.f_vertex,
-            "r": self.r_vertex,
-            "indicator": [list(row) for row in self.indicator],
-        }
+        t, f, r, indicator = self.t_vertex, self.f_vertex, self.r_vertex, [list(row) for row in self.indicator]
+        return dict(k=self.k, n=self.n, e=self.e, t=t, f=f, r=r, indicator=indicator)
+
+    def _parts(self):
+        """The sidecar text in parts, the only code that decides its bytes: the header as `json.dumps(...,
+        indent=2)` lays it out, with the indicator table from a row template, then the gadget records in blocks."""
+        k, n, t, f, r = self.k, self.n, self.t_vertex, self.f_vertex, self.r_vertex
+        yield f'{{\n  "k": {k},\n  "n": {n},\n  "e": {self.e},\n  "t": {t},\n  "f": {f},\n  "r": {r},\n  "indicator": '
+        if not n:  # no gadget, and no k-wide row template: k may be huge
+            yield '[],\n  "gadgets": []\n}\n'
+            return
+        row = "    [\n" + ",\n".join(["      %d"] * k) + "\n    ]"
+        yield "[\n" + ",\n".join([row] * n) % tuple(range(3, 3 + n * k)) + '\n  ],\n  "gadgets": '
+        tags, chains, (starts, xs, ys) = self._tags(), self._chains(), self._base_gadgets()
+        blocks = chain(
+            _record_blocks(tags, k + 1, n, lambda lo, hi: zip(*((*b, s) for b, s in islice(chains, hi - lo)))),
+            _record_blocks(tags, 3, len(xs), lambda lo, hi: (xs[lo:hi], ys[lo:hi], [f] * (hi - lo), starts[lo:hi])),
+        )
+        yield from chain.from_iterable(zip(chain(["[\n"], repeat(",\n")), blocks))
+        yield "\n  ]\n}\n"
 
     def to_json(self) -> str:
-        """`json.dumps` of the header with the gadget records appended, at
-        indent 2 and with a final newline; each record is written from a
-        template instead of a dict."""
-        records = ",\n".join(
-            _GADGET_RECORD % (tag, ",\n        ".join([str(v) for v in boundary]), start, 3 * len(boundary) - 7)
-            for tag, (boundary, start) in zip(self._tags(), self._boundaries())
-        )
-        head = json.dumps(self._header(), indent=2)[: -len("\n}")]
-        gadgets = f"[\n{records}\n  ]" if records else "[]"
-        return f'{head},\n  "gadgets": {gadgets}\n}}\n'
+        """`json.dumps` of the header with the gadget records appended, at indent 2 and with a final newline. It is
+        written from templates: each block of up to _BLOCK records is one `%` against a flat tuple of its values."""
+        return "".join(self._parts())
+
+    @classmethod
+    def _read_canonical(cls, text: str) -> "ReductionMap | None":
+        """The map whose `to_json` is `text`, or None at the first doubt: k, n and e from the header prefix, the
+        edges from the c = 0 edge-conflict tags, and then the map's parts must spell out the whole text."""
+        head = _HEAD.match(text) if isinstance(text, str) else None
+        k, n, e = map(int, head.groups()) if head else (0, 0, 0)  # k = 0: no canonical header
+        if k < 2 or k * (n * k + e) > len(text):  # before anything is derived: the text could not hold the records
+            return None
+        edges, pos = tuple((int(u), int(v)) for u, v in _EDGE_TAG.findall(text)), 0
+        with suppress(ValueError):  # from Graph: an edge out of range or a self-loop
+            if Graph(n, edges).edges == edges:  # e itself is checked by the walk, in the first part
+                rmap = cls(k, n, edges)  # the parts must tile the text: each starts where the last one ended
+                if all(text.startswith(part, pos) and (pos := pos + len(part)) for part in rmap._parts()):
+                    return rmap if pos == len(text) else None
+        return None
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
         """Read (k, n, source edges) from a sidecar, then require the
-        sidecar to equal the one that reduction writes: its header, then
-        each gadget record in one pass. Any other document raises
-        ValueError."""
+        sidecar to equal the one that reduction writes. `to_json`'s own text
+        is read by `_read_canonical`, with no JSON document tree; any other
+        layout of the document, such as compact JSON, is parsed and checked
+        header first, then record by record. Only that path raises ValueError."""
+        if (rmap := cls._read_canonical(text)) is not None:
+            return rmap
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("reduction map must be a JSON object")

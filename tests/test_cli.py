@@ -73,6 +73,24 @@ def test_palette_is_checked_before_the_file(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: --k must be at least 2\n"
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_empty_palette_is_checked_before_the_files(tmp_path, capsys, command, k):
+    argv = [command, "--k", k, "--input", str(tmp_path / "nope.col")]
+    if command == "verify":
+        argv += ["--witness", str(tmp_path / "nope.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --k must be at least 1\n"
+
+
+def test_one_color_solves_and_verifies_an_edgeless_graph(tmp_path, capsys):
+    graph, witness = tmp_path / "g.col", tmp_path / "w.txt"
+    graph.write_text("p edge 2 0\n", newline="")
+    assert main(["solve", "--k", "1", "--input", str(graph), "--witness", str(witness)]) == 0
+    assert main(["verify", "--k", "1", "--input", str(graph), "--witness", str(witness)]) == 0
+    assert capsys.readouterr().out.endswith("witness valid\n")
+
+
 _K_INPUT, _PARSED_K_INPUT = ["--k", "3", "--input", "g.col"], {"k": 3, "input": "g.col"}
 # Per subcommand: one argv with only the required options, one with every option; each after --k and --input.
 _PARSED = [

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from itertools import chain, combinations
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kcol3.reduction
@@ -195,6 +197,14 @@ def test_to_json_is_json_dumps_of_the_document(n, edges, k):
     assert rmap.to_json() == json.dumps(_document(rmap), indent=2) + "\n"
 
 
+def test_to_json_spans_many_blocks():
+    """The chains, and the at-most-one and edge-conflict records, each fill more than one of the writer's blocks."""
+    g = gen_gnp(300, 0.02, 0)
+    rmap = ReductionMap(3, g.n, g.edges)
+    assert min(g.n, 3 * g.n, 3 * g.e) > kcol3.reduction._BLOCK
+    assert rmap.to_json() == json.dumps(_document(rmap), indent=2) + "\n"
+
+
 def test_map_json_round_trip():
     g = gen_gnp(4, 0.6, 9)
     gprime, rmap = reduce_to_3col(g, 3)
@@ -210,6 +220,81 @@ def test_map_json_round_trip_on_drawn_graphs(k, g):
     rmap = ReductionMap(k, g.n, g.edges)
     text = rmap.to_json()
     assert ReductionMap.from_json(text) == ReductionMap.from_json(json.dumps(json.loads(text))) == rmap
+
+
+def test_from_json_reads_its_own_text_without_a_document(monkeypatch):
+    maps = [ReductionMap(3, 4, ((0, 1), (0, 3), (1, 2))), ReductionMap(2, 0, ()), ReductionMap(4, 1, ())]
+    texts = [rmap.to_json() for rmap in maps]
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("from_json parsed its own text as a JSON document")
+
+    monkeypatch.setattr(kcol3.reduction.json, "loads", no_tree)
+    assert [ReductionMap.from_json(text) for text in texts] == maps
+
+
+def _outcomes(text):
+    """What from_json gives for `text`, then what its document path alone gives: a map or a ValueError's message."""
+
+    def read():
+        try:
+            return ReductionMap.from_json(text)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    outcome = read()
+    with mock.patch.object(ReductionMap, "_read_canonical", return_value=None):
+        return outcome, read()
+
+
+# Where a single-character edit of a sidecar lands: digits of the header counts, of tags, of boundaries, of
+# internal starts, or any whitespace.
+_EDIT_SPOTS = {
+    "head": r'"[kne]": [0-9]+',
+    "tag": r'"tag": "[^"]*"',
+    "boundary": r"\n {8}[0-9]+",
+    "start": r'"internal_start": [0-9]+',
+    "space": r"\s",
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.integers(2, 4),
+    simple_graphs(max_n=6),
+    st.sampled_from(sorted(_EDIT_SPOTS)),
+    st.sampled_from(["replace", "delete", "insert"]),
+    st.sampled_from("0123456789 \n\t:,-"),
+    st.data(),
+)
+def test_single_character_edits_read_as_the_document_reads_them(k, g, where, op, char, data):
+    """The canonical reader returns a map only for to_json's own text, so every edit reads back as it does through
+    the document path alone: the same map, or the same ValueError."""
+    text = ReductionMap(k, g.n, g.edges).to_json()
+    spans = (range(*m.span()) for m in re.finditer(_EDIT_SPOTS[where], text))
+    spots = [i for span in spans for i in span if where == "space" or text[i].isdigit()]
+    assume(spots)
+    spots += [len(text)] if op == "insert" else []  # a character after the final newline
+    i = data.draw(st.sampled_from(spots))
+    edited = text[:i] + ("" if op == "delete" else char) + text[i + (op != "insert") :]
+    outcome, expected = _outcomes(edited)
+    assert outcome == expected
+
+
+@pytest.mark.parametrize(
+    "rmap, n",
+    [
+        (ReductionMap(3, 2, ((1, 1),)), 2),
+        (ReductionMap(3, 3, ((0, 2), (0, 1))), 3),
+        (ReductionMap(3, 3, ((0, 1), (0, 1))), 3),
+        (ReductionMap(3, 3, ((0, 2),)), 2),
+    ],
+    ids=["self-loop", "unsorted", "repeated", "out-of-range"],
+)
+def test_to_json_layout_of_a_bad_edge_list_reads_as_the_document_reads_it(rmap, n):
+    """A map whose edges are no graph's, written as to_json lays it out, with the header's n set to `n`."""
+    outcome, expected = _outcomes(rmap.to_json().replace(f'"n": {rmap.n},', f'"n": {n},', 1))
+    assert outcome == expected and expected.startswith("ValueError")
 
 
 def test_map_from_json_names_missing_field():
@@ -306,6 +391,28 @@ def test_empty_reduction_memory_does_not_grow_with_k_squared():
     peak, (gprime, _) = _traced_peak(lambda: reduce_to_3col(Graph(0, ()), 2000))
     assert (gprime.n, gprime.e) == (3, 3)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("field, value", [("k", 10**9), ("n", 10**6), ("n", 10**12)])
+def test_a_header_too_large_for_its_text_is_refused_in_bounded_memory(field, value):
+    doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
+    text = json.dumps({**doc, field: value}, indent=2) + "\n"  # to_json's own layout, header and all
+
+    def read():
+        with pytest.raises(ValueError, match="lengths"):
+            ReductionMap.from_json(text)
+
+    peak, _ = _traced_peak(read)
+    assert peak < 2**20
+
+
+def test_from_json_peaks_below_the_length_of_its_own_text():
+    g = gen_gnp(200, 0.05, 1)
+    rmap = ReductionMap(4, g.n, g.edges)
+    text = rmap.to_json()
+    peak, restored = _traced_peak(lambda: ReductionMap.from_json(text))
+    assert restored == rmap
+    assert peak < len(text)
 
 
 def test_determinism():
