@@ -20,13 +20,10 @@ chains one by one, and blocks 4 and 5, whose gadgets are all base gadgets
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
-from contextlib import suppress
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
-from operator import eq
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
@@ -106,13 +103,8 @@ class ReductionMap(_Frozen):
         start = 3 + n * (4 * k - 4)
         return range(start, start + 2 * len(xs), 2), xs, ys
 
-    def _boundaries(self):
-        """(boundary, internal_start) for every gadget in construction order."""
-        starts, xs, ys = self._base_gadgets()
-        return chain(self._chains(), zip(zip(xs, ys, repeat(self.f_vertex)), starts))
-
     def _tags(self):
-        """The sidecar tag of every gadget, in the order of `_boundaries`."""
+        """The sidecar tag of every gadget, in construction order: the chains, then the base gadgets."""
         return chain(
             (f"at-least-one:{i}" for i in range(self.n)),
             (f"at-most-one:{i}:{j1}:{j2}" for i in range(self.n) for j1, j2 in combinations(range(self.k), 2)),
@@ -136,10 +128,6 @@ class ReductionMap(_Frozen):
         vertex count, which reduce_to_3col checks against the closed form."""
         us, vs = self._columns
         return Graph(max(vs) + 1, columns=(us, vs))
-
-    def _header(self) -> dict:
-        t, f, r, indicator = self.t_vertex, self.f_vertex, self.r_vertex, [list(row) for row in self.indicator]
-        return dict(k=self.k, n=self.n, e=self.e, t=t, f=f, r=r, indicator=indicator)
 
     def _parts(self):
         """The sidecar text in parts, the only code that decides its bytes: the header as `json.dumps(...,
@@ -165,59 +153,35 @@ class ReductionMap(_Frozen):
         return "".join(self._parts())
 
     @classmethod
-    def _read_canonical(cls, text: str) -> "ReductionMap | None":
-        """The map whose `to_json` is `text`, or None at the first doubt: k, n and e from the header prefix, the
-        edges from the c = 0 edge-conflict tags, and then the map's parts must spell out the whole text."""
-        head = _HEAD.match(text) if isinstance(text, str) else None
-        k, n, e = map(int, head.groups()) if head else (0, 0, 0)  # k = 0: no canonical header
-        if k < 2 or k * (n * k + e) > len(text):  # before anything is derived: the text could not hold the records
-            return None
-        edges, pos = tuple((int(u), int(v)) for u, v in _EDGE_TAG.findall(text)), 0
-        with suppress(ValueError):  # from Graph: an edge out of range or a self-loop
-            if Graph(n, edges).edges == edges:  # e itself is checked by the walk, in the first part
-                rmap = cls(k, n, edges)  # the parts must tile the text: each starts where the last one ended
-                if all(text.startswith(part, pos) and (pos := pos + len(part)) for part in rmap._parts()):
-                    return rmap if pos == len(text) else None
-        return None
-
-    @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
-        """Read (k, n, source edges) from a sidecar, then require the
-        sidecar to equal the one that reduction writes. `to_json`'s own text
-        is read by `_read_canonical`, with no JSON document tree; any other
-        layout of the document, such as compact JSON, is parsed and checked
-        header first, then record by record. Only that path raises ValueError."""
-        if (rmap := cls._read_canonical(text)) is not None:
-            return rmap
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("reduction map must be a JSON object")
-        try:
-            gadgets, indicator, k, n, e = (doc[name] for name in ("gadgets", "indicator", "k", "n", "e"))
-        except KeyError as exc:
-            raise ValueError(f"reduction map is missing field {exc.args[0]!r}") from None
-        if not (all(type(x) is int for x in (k, n, e)) and isinstance(indicator, list) and isinstance(gadgets, list)):
-            raise ValueError("reduction map needs integer k, n, e and list indicator, gadgets")
-        # Checked before anything is derived, so that the derived map is no
-        # larger than the parsed document.
-        first_edge = n + n * (k * (k - 1) // 2)
-        if k < 2 or n < 0 or e < 0 or len(indicator) != n or len(gadgets) != first_edge + k * e:
+        """The map whose `to_json` is `text`; any other input raises ValueError naming its fault. k, n and e come
+        from the header's fixed prefix (ASCII digits only) and the edges from the c = 0 edge-conflict tags. A k
+        below 2, or a k, n or e too large for the text, is refused before anything is derived, and the edges are
+        checked as a `Graph` checks them. Then the map's parts are compared with the text in place and must end
+        exactly at its end; the first character that differs is named by its line. No JSON document is built."""
+        head = _HEAD.match(text) if isinstance(text, str) else None
+        if head is None:
+            raise ValueError("reduction map has no to_json header")
+        k, n, e = map(int, head.groups())
+        if k < 2 or k * (n * k + e) > len(text):  # before anything is derived: the text could not hold the records
             raise ValueError(f"reduction map lists do not have the lengths k={k}, n={n}, e={e} give")
-        try:  # tags "edge-conflict:u:v:c"; the c = 0 record of each edge
-            edges = tuple((int(u), int(v)) for _, u, v, _ in (rec["tag"].split(":") for rec in gadgets[first_edge::k]))
-        except (TypeError, KeyError, AttributeError, ValueError):
-            raise ValueError("reduction map has a malformed edge-conflict record") from None
-        if Graph(n, edges).edges != edges:
+        edges = tuple((int(u), int(v)) for u, v in _EDGE_TAG.findall(text))
+        if Graph(n, edges).edges != edges:  # Graph itself refuses a self-loop or an edge out of range
             raise ValueError("reduction map source edges are not sorted, distinct pairs (u < v)")
-        rmap = cls(k, n, edges)
-        records = (
-            dict(tag=tag, boundary=list(boundary), internal_start=start, internal_len=3 * len(boundary) - 7)
-            for tag, (boundary, start) in zip(rmap._tags(), rmap._boundaries())
+        rmap, pos = cls(k, n, edges), 0  # e itself is checked by the walk, in the first part
+        for part in rmap._parts():  # each part must start where the last one ended
+            if not text.startswith(part, pos):
+                seg = text[pos : pos + len(part)]  # the error path's only copy: the failing part's span of the text
+                pos += next((i for i, (a, b) in enumerate(zip(part, seg)) if a != b), len(seg))
+                break
+            pos += len(part)
+        else:
+            if pos == len(text):
+                return rmap
+        line = text.count("\n", 0, pos) + 1  # of the first character that differs, or of the first one too many
+        raise ValueError(
+            f"reduction map differs from the reduction of its k={k}, n={n} and source edges at line {line}"
         )
-        # The gadgets list is compared with itself here and record by record below.
-        if doc != {**rmap._header(), "gadgets": gadgets} or not all(map(eq, gadgets, records)):
-            raise ValueError(f"reduction map differs from the reduction of its k={k}, n={n} and source edges")
-        return rmap
 
 
 def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:

@@ -65,3 +65,26 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute) and ast.unparse(node.value).split(".")[0] == "kcol3":
                 called.add(node.attr)
     assert sorted(name for module in MODULES.values() for name in module.__all__ if name not in called) == []
+
+
+def test_every_private_name_has_a_caller():
+    """A `_name` defined at module top level or in a class body under src/kcol3 is read somewhere in src/kcol3
+    outside its own definition (a method's reads inside itself do not count, nor a class's inside its body)."""
+    root = Path(__file__).resolve().parent.parent
+    defined, called = set(), set()
+    for path in (root / "src" / "kcol3").glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            if isinstance(statement, ast.ClassDef):  # each member on its own, and the class line's bases apart
+                header = [*statement.bases, *statement.keywords, *statement.decorator_list]
+                units = [([member], _defined(member) | {statement.name}) for member in statement.body]
+                units.append((header, set()))
+            else:
+                units = [([statement], _defined(statement))]
+            for trees, own in units:
+                defined |= own
+                nodes = [node for tree in trees for node in ast.walk(tree)]
+                reads = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                reads |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+                called |= reads - own
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert sorted(private - called) == []

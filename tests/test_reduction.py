@@ -3,7 +3,6 @@ import json
 import re
 import tracemalloc
 from itertools import chain, combinations
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,7 +33,7 @@ from test_graphs import simple_graphs
 
 def _gadget_log(rmap):
     """(tag, GadgetInstance) for every gadget of the map, in construction order."""
-    return [(tag, GadgetInstance(*gadget)) for tag, gadget in zip(rmap._tags(), rmap._boundaries())]
+    return [(tag, GadgetInstance(*gadget)) for tag, gadget in zip(rmap._tags(), _reference_boundaries(rmap))]
 
 
 def test_k3_fixture_sizes():
@@ -174,20 +173,19 @@ def _colored_graphs(draw):
 def test_layout_and_lift_equal_the_per_gadget_reference(case):
     k, n, colors, g = case
     rmap = ReductionMap(k, n, g.edges)
-    assert list(rmap._boundaries()) == list(_reference_boundaries(rmap))
     assert list(zip(*rmap._columns)) == _reference_edges(rmap)
     c = Coloring(k, colors)
     assert lift_witness(g, c, rmap) == _reference_lift(c, rmap)
 
 
 def _document(rmap):
-    """The sidecar as a dict, built from the gadget log: the reference that
-    to_json writes from templates and from_json checks record by record."""
+    """The sidecar as a dict, built from the gadget log: the reference that to_json writes from templates."""
     gadgets = [
         dict(tag=tag, boundary=list(g.boundary), internal_start=g.internal_start, internal_len=g.internal_len)
         for tag, g in _gadget_log(rmap)
     ]
-    return {**rmap._header(), "gadgets": gadgets}
+    indicator = [list(row) for row in rmap.indicator]
+    return {"k": rmap.k, "n": rmap.n, "e": rmap.e, "t": 0, "f": 1, "r": 2, "indicator": indicator, "gadgets": gadgets}
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -198,10 +196,10 @@ def test_to_json_is_json_dumps_of_the_document(n, edges, k):
 
 
 def test_to_json_spans_many_blocks():
-    """The chains, and the at-most-one and edge-conflict records, each fill more than one of the writer's blocks."""
-    g = gen_gnp(300, 0.02, 0)
+    """The chains, and the at-most-one and edge-conflict records, each fill more than two of the writer's blocks."""
+    g = gen_gnp(600, 0.003, 0)
     rmap = ReductionMap(3, g.n, g.edges)
-    assert min(g.n, 3 * g.n, 3 * g.e) > kcol3.reduction._BLOCK
+    assert min(g.n, 3 * g.n, 3 * g.e) > 2 * kcol3.reduction._BLOCK
     assert rmap.to_json() == json.dumps(_document(rmap), indent=2) + "\n"
 
 
@@ -216,36 +214,45 @@ def test_map_json_round_trip():
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.integers(2, 5), simple_graphs(max_n=8))
 def test_map_json_round_trip_on_drawn_graphs(k, g):
-    """from_json compares documents, not bytes: the compact form reads back too."""
+    """from_json reads to_json's own bytes, not a JSON document: the compact form of the same document is refused."""
     rmap = ReductionMap(k, g.n, g.edges)
     text = rmap.to_json()
-    assert ReductionMap.from_json(text) == ReductionMap.from_json(json.dumps(json.loads(text))) == rmap
+    assert ReductionMap.from_json(text) == rmap
+    with pytest.raises(ValueError):
+        ReductionMap.from_json(json.dumps(json.loads(text)))
 
 
 def test_from_json_reads_its_own_text_without_a_document(monkeypatch):
     maps = [ReductionMap(3, 4, ((0, 1), (0, 3), (1, 2))), ReductionMap(2, 0, ()), ReductionMap(4, 1, ())]
     texts = [rmap.to_json() for rmap in maps]
+    others = ["[]", "{", texts[0][:-2], json.dumps(json.loads(texts[0])), texts[0].encode(), None]
 
     def no_tree(*args, **kwargs):
-        raise AssertionError("from_json parsed its own text as a JSON document")
+        raise AssertionError("from_json parsed its text as a JSON document")
 
-    monkeypatch.setattr(kcol3.reduction.json, "loads", no_tree)
+    monkeypatch.setattr(json, "loads", no_tree)
     assert [ReductionMap.from_json(text) for text in texts] == maps
+    for other in others:  # malformed, compact, bytes and no text at all: each refused without a document
+        with pytest.raises(ValueError):
+            ReductionMap.from_json(other)
 
 
-def _outcomes(text):
-    """What from_json gives for `text`, then what its document path alone gives: a map or a ValueError's message."""
+def _spelled(text):
+    """(k, n, e, edges) as a sidecar's header and c = 0 edge-conflict tags spell them, or None with no header."""
+    head = re.match(r'\{\n  "k": ([0-9]+),\n  "n": ([0-9]+),\n  "e": ([0-9]+),\n', text)
+    edges = tuple((int(u), int(v)) for u, v in re.findall(r'"edge-conflict:([0-9]+):([0-9]+):0"', text))
+    return head and (*map(int, head.groups()), edges)
 
-    def read():
-        try:
-            return ReductionMap.from_json(text)
-        except ValueError as exc:
-            return f"ValueError: {exc}"
 
-    outcome = read()
-    with mock.patch.object(ReductionMap, "_read_canonical", return_value=None):
-        return outcome, read()
+def _line_of_first_difference(text, reference):
+    """The line of `text` that holds its first character not in `reference` (its end, if it is a prefix)."""
+    first = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b), min(len(text), len(reference)))
+    return text.count("\n", 0, first) + 1
 
+
+_AT_LINE = re.compile(r"reduction map differs from the reduction of its k=\d+, n=\d+ and source edges at line (\d+)")
+# The faults that have no line: the header, and the edge list as Graph checks it.
+_NO_LINE = re.compile(r"reduction map (has no to_json header|lists do not|source edges are not)|self-loop|edge \(")
 
 # Where a single-character edit of a sidecar lands: digits of the header counts, of tags, of boundaries, of
 # internal starts, or any whitespace.
@@ -265,51 +272,60 @@ _EDIT_SPOTS = {
     st.sampled_from(sorted(_EDIT_SPOTS)),
     st.sampled_from(["replace", "delete", "insert"]),
     st.sampled_from("0123456789 \n\t:,-"),
-    st.data(),
+    st.integers(0, 2**16),
 )
-def test_single_character_edits_read_as_the_document_reads_them(k, g, where, op, char, data):
-    """The canonical reader returns a map only for to_json's own text, so every edit reads back as it does through
-    the document path alone: the same map, or the same ValueError."""
+@example(2, Graph(0, ()), "head", "replace", "3", 0)  # "k": 3 and no source vertex: another map's own text
+@example(2, Graph(2, ((0, 1),)), "tag", "replace", "1", 8)  # "edge-conflict:1:1:0", a self-loop
+def test_single_character_edits_are_refused_at_their_line(k, g, where, op, char, pick):
+    """A text reads back only as the map whose to_json it is. An edit that leaves k, n, e and the c = 0
+    edge-conflict tags as they were is refused at the line of its first changed character. Any other edit is
+    refused for its header or edge list, or at the first line where it differs from the reduction it now spells,
+    unless (with no source vertex) it spells another map's text whole."""
     text = ReductionMap(k, g.n, g.edges).to_json()
     spans = (range(*m.span()) for m in re.finditer(_EDIT_SPOTS[where], text))
     spots = [i for span in spans for i in span if where == "space" or text[i].isdigit()]
     assume(spots)
     spots += [len(text)] if op == "insert" else []  # a character after the final newline
-    i = data.draw(st.sampled_from(spots))
+    i = spots[pick % len(spots)]
     edited = text[:i] + ("" if op == "delete" else char) + text[i + (op != "insert") :]
-    outcome, expected = _outcomes(edited)
-    assert outcome == expected
-
-
-@pytest.mark.parametrize(
-    "rmap, n",
-    [
-        (ReductionMap(3, 2, ((1, 1),)), 2),
-        (ReductionMap(3, 3, ((0, 2), (0, 1))), 3),
-        (ReductionMap(3, 3, ((0, 1), (0, 1))), 3),
-        (ReductionMap(3, 3, ((0, 2),)), 2),
-    ],
-    ids=["self-loop", "unsorted", "repeated", "out-of-range"],
-)
-def test_to_json_layout_of_a_bad_edge_list_reads_as_the_document_reads_it(rmap, n):
-    """A map whose edges are no graph's, written as to_json lays it out, with the header's n set to `n`."""
-    outcome, expected = _outcomes(rmap.to_json().replace(f'"n": {rmap.n},', f'"n": {n},', 1))
-    assert outcome == expected and expected.startswith("ValueError")
+    assume(edited != text)
+    spelled = _spelled(edited)
+    try:
+        rmap = ReductionMap.from_json(edited)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        assert g.n == 0 and spelled[0] not in (0, 1, k) and rmap.to_json() == edited
+        return
+    line = _AT_LINE.fullmatch(message)
+    if spelled == _spelled(text):
+        assert line, message
+        named, at = int(line[1]), edited.count("\n", 0, i) + 1
+        assert named == _line_of_first_difference(edited, text)
+        assert named in (at, at + 1)  # the line after only where a newline goes in before a newline
+    elif line:
+        reference = ReductionMap(spelled[0], spelled[1], spelled[3]).to_json()
+        assert int(line[1]) == _line_of_first_difference(edited, reference)
+    else:
+        assert _NO_LINE.match(message), message
 
 
 def test_map_from_json_names_missing_field():
-    with pytest.raises(ValueError, match="gadgets"):
+    """A field that is missing is named by the line it belongs on."""
+    with pytest.raises(ValueError, match="^reduction map has no to_json header$"):
         ReductionMap.from_json('{"k": 3}')
-    doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
-    del doc["indicator"]
-    with pytest.raises(ValueError, match="indicator"):
-        ReductionMap.from_json(json.dumps(doc))
+    text = _edited_sidecar(lambda doc: doc.pop("indicator"))
+    assert text.splitlines()[7] == '  "gadgets": ['
+    with pytest.raises(ValueError, match="at line 8$"):
+        ReductionMap.from_json(text)
 
 
 def _edited_sidecar(edit):
+    """The sidecar of a small map with one edit to its document, written in to_json's layout, so that the edit
+    itself is what the reader refuses."""
     doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
     edit(doc)
-    return json.dumps(doc)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -322,8 +338,10 @@ def _edited_sidecar(edit):
         _edited_sidecar(lambda doc: doc.update(n=10**12)),
         _edited_sidecar(lambda doc: doc.update(k=10**9)),
         _edited_sidecar(lambda doc: doc["gadgets"][-3].update(tag="edge-conflict:1:9:0")),
+        ReductionMap(0, 0, ()).to_json(),  # to_json's own layout of a palette no reduction has
+        ReductionMap(1, 2, ((0, 1),)).to_json(),
     ],
-    ids=["array", "indicator-int", "internal-len", "k", "huge-n", "huge-k", "edge-tag"],
+    ids=["array", "indicator-int", "internal-len", "k", "huge-n", "huge-k", "edge-tag", "k-0", "k-1"],
 )
 def test_map_from_json_rejects_malformed_sidecar(text):
     with pytest.raises(ValueError):
@@ -357,20 +375,32 @@ def _reverse_edge_records(doc):
     doc["gadgets"][first:] = reversed(doc["gadgets"][first:])
 
 
+def _with_n(rmap, n):
+    """A map whose edges are no graph's, written as to_json lays it out, with the header's n set to `n`."""
+    return rmap.to_json().replace(f'"n": {rmap.n},', f'"n": {n},', 1)
+
+
 @pytest.mark.parametrize(
-    "edit, message",
+    "text, message",
     [
         (
-            lambda doc: doc["gadgets"][_first_edge_record(doc)].update(tag="edge-conflict:x:1:0"),
-            "reduction map has a malformed edge-conflict record",
+            _edited_sidecar(lambda doc: doc["gadgets"][_first_edge_record(doc)].update(tag="edge-conflict:x:1:0")),
+            "reduction map differs from the reduction of its k=3, n=4 and source edges at line 4",  # e: one tag fewer
         ),
-        (_reverse_edge_records, r"reduction map source edges are not sorted, distinct pairs \(u < v\)"),
+        (
+            _edited_sidecar(_reverse_edge_records),
+            r"reduction map source edges are not sorted, distinct pairs \(u < v\)",
+        ),
+        (_with_n(ReductionMap(3, 2, ((1, 1),)), 2), "self-loop at vertex 1"),
+        (_with_n(ReductionMap(3, 3, ((0, 2), (0, 1))), 3), "reduction map source edges are not sorted"),
+        (_with_n(ReductionMap(3, 3, ((0, 1), (0, 1))), 3), "reduction map source edges are not sorted"),
+        (_with_n(ReductionMap(3, 3, ((0, 2),)), 2), r"edge \(0,2\) out of range for n=2"),
     ],
-    ids=["non-integer-field", "edges-out-of-order"],
+    ids=["non-integer-field", "edges-out-of-order", "self-loop", "unsorted", "repeated", "out-of-range"],
 )
-def test_map_from_json_names_a_bad_edge_list(edit, message):
-    with pytest.raises(ValueError, match=message):
-        ReductionMap.from_json(_edited_sidecar(edit))
+def test_map_from_json_names_a_bad_edge_list(text, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ReductionMap.from_json(text)
 
 
 def _traced_peak(f):
@@ -384,7 +414,7 @@ def _traced_peak(f):
 
 def test_empty_reduction_memory_does_not_grow_with_k_squared():
     # At k = 2000 a list of the k(k-1)/2 color pairs alone would take over 100 MiB.
-    sidecar = '{"k": 2000, "n": 0, "e": 0, "t": 0, "f": 1, "r": 2, "indicator": [], "gadgets": []}'
+    sidecar = ReductionMap(2000, 0, ()).to_json()
     peak, rmap = _traced_peak(lambda: ReductionMap.from_json(sidecar))
     assert rmap == ReductionMap(2000, 0, ())
     assert peak < 2**20
@@ -393,7 +423,7 @@ def test_empty_reduction_memory_does_not_grow_with_k_squared():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("field, value", [("k", 10**9), ("n", 10**6), ("n", 10**12)])
+@pytest.mark.parametrize("field, value", [("k", 10**9), ("n", 10**6), ("n", 10**12), ("e", 10**9)])
 def test_a_header_too_large_for_its_text_is_refused_in_bounded_memory(field, value):
     doc = json.loads(reduce_to_3col(gen_gnp(4, 0.6, 9), 3)[1].to_json())
     text = json.dumps({**doc, field: value}, indent=2) + "\n"  # to_json's own layout, header and all
@@ -404,6 +434,16 @@ def test_a_header_too_large_for_its_text_is_refused_in_bounded_memory(field, val
 
     peak, _ = _traced_peak(read)
     assert peak < 2**20
+
+
+def test_a_header_as_large_as_its_text_is_walked():
+    """Only k(nk + e) above the text's length is refused for its size; at equality the walk names the line."""
+    head = '{\n  "k": 2,\n  "n": 20,\n  "e": 0,\n'
+    text = head + " " * (2 * (20 * 2 + 0) - len(head))
+    with pytest.raises(ValueError, match="at line 5$"):
+        ReductionMap.from_json(text)
+    with pytest.raises(ValueError, match="lengths"):
+        ReductionMap.from_json(text[:-1])
 
 
 def test_from_json_peaks_below_the_length_of_its_own_text():
