@@ -24,10 +24,11 @@ import re
 from array import array
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
+from operator import lt
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
-from .graphs import _ENDPOINT, Coloring, Graph, _Frozen, is_proper_coloring
+from .graphs import _ENDPOINT, _WIDTH, Coloring, Graph, _Frozen, is_proper_coloring
 
 __all__ = [
     "ReductionMap",
@@ -42,6 +43,7 @@ __all__ = [
 
 
 _BLOCK = 256  # gadget records per `%` in the sidecar writer: bounds each block's template and value tuple
+_MAX_VERTICES = 2**30 // 600  # G' vertices in 1 GiB at the 600 bytes each that `compare` peaks at (README)
 _HEAD = re.compile(r'\{\n  "k": ([0-9]{1,20}),\n  "n": ([0-9]{1,20}),\n  "e": ([0-9]{1,20}),\n')
 _EDGE_TAG = re.compile(r'"edge-conflict:([0-9]{1,20}):([0-9]{1,20}):0"')
 
@@ -65,7 +67,7 @@ def _record_blocks(tags, width: int, count: int, columns):
 class ReductionMap(_Frozen):
     """The reduction of (k, n, edges), where `edges` is a source graph's
     canonical edge tuple (`Graph.edges`). Every vertex of G' is derived
-    from these three fields."""
+    from these three fields, which are checked when the map is made."""
 
     k: int
     n: int
@@ -74,6 +76,14 @@ class ReductionMap(_Frozen):
     t_vertex = 0
     f_vertex = 1
     r_vertex = 2
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"palette size must be at least 2, got {self.k}")
+        n, edges = self.n, self.edges  # as `Graph(n, edges).edges == edges`, but only a fault builds a Graph
+        if not (0 <= n <= 1 << _WIDTH and all(0 <= u < v < n for u, v in edges) and all(map(lt, edges, edges[1:]))):
+            Graph(n, edges)  # refuses a vertex count out of range, a self-loop or an edge out of range
+            raise ValueError("reduction map source edges are not sorted, distinct pairs (u < v)")
 
     @property
     def e(self) -> int:
@@ -155,19 +165,17 @@ class ReductionMap(_Frozen):
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
         """The map whose `to_json` is `text`; any other input raises ValueError naming its fault. k, n and e come
-        from the header's fixed prefix (ASCII digits only) and the edges from the c = 0 edge-conflict tags. A k
-        below 2, or a k, n or e too large for the text, is refused before anything is derived, and the edges are
-        checked as a `Graph` checks them. Then the map's parts are compared with the text in place and must end
+        from the header's fixed prefix (ASCII digits only) and the edges from the c = 0 edge-conflict tags. A k, n
+        or e too large for the text is refused before anything is derived, and the map refuses a k below 2 and
+        edges that are not a `Graph`'s. Then the map's parts are compared with the text in place and must end
         exactly at its end; the first character that differs is named by its line. No JSON document is built."""
         head = _HEAD.match(text) if isinstance(text, str) else None
         if head is None:
             raise ValueError("reduction map has no to_json header")
         k, n, e = map(int, head.groups())
-        if k < 2 or k * (n * k + e) > len(text):  # before anything is derived: the text could not hold the records
+        if k * (n * k + e) > len(text):  # before anything is derived: the text could not hold the records
             raise ValueError(f"reduction map lists do not have the lengths k={k}, n={n}, e={e} give")
         edges = tuple((int(u), int(v)) for u, v in _EDGE_TAG.findall(text))
-        if Graph(n, edges).edges != edges:  # Graph itself refuses a self-loop or an edge out of range
-            raise ValueError("reduction map source edges are not sorted, distinct pairs (u < v)")
         rmap, pos = cls(k, n, edges), 0  # e itself is checked by the walk, in the first part
         for part in rmap._parts():  # each part must start where the last one ended
             if not text.startswith(part, pos):
@@ -189,7 +197,7 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
 
     Deterministic: identical inputs give identical vertex numbering.
     """
-    rep = size_report(g, k)  # refuses a palette below 2 before anything is built
+    rep = size_report(g, k)  # refuses a palette below 2, or a G' above the cap, before anything is built
     rmap = ReductionMap(k, g.n, g.edges)
     gprime = rmap.reconstruct_graph()
     fv, fe = rep.vertices, rep.edges
@@ -297,12 +305,14 @@ class SizeReport(_Frozen):
 
 
 def size_report(g: Graph, k: int) -> SizeReport:
-    """Sizes of the reduction of (g, k), from the closed forms alone;
-    `reduce_to_3col` checks them against every G' it builds."""
+    """Sizes of the reduction of (g, k), from the closed forms alone, refusing a G' above _MAX_VERTICES vertices
+    before anything is built; `reduce_to_3col` checks them against every G' it builds."""
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
     n, e = g.n, g.e
     fv = formula_vertices(n, e, k)
+    if fv > _MAX_VERTICES:
+        raise ValueError(f"reduced graph would have {fv} vertices, above the cap of {_MAX_VERTICES}")
     fe = formula_edges(n, e, k)
     bound_v = 2 * k * k * n + 2 * k * e
     bound_e = 3 * k * k * n + 2 * k * e

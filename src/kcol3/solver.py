@@ -34,8 +34,12 @@ The search uses:
 
 The search loops over an explicit stack with one frame per decision, a
 vertex with two or more colors left, so it neither recurses nor touches
-the recursion limit. Backjumping skips only subtrees without a solution,
-so the first witness found is the one chronological backtracking finds.
+the recursion limit. A frame holds only ints: its conflict set is a bit
+set of frame indices, and its trail height is where its decision went on
+the one undo trail (as in MiniSat) that every change goes on, so a
+backjump over any number of frames is one cut of the trail. Backjumping
+skips only subtrees without a solution, so the first witness found is
+the one chronological backtracking finds.
 
 Deterministic: identical inputs yield identical outcomes, witnesses and
 node counts.
@@ -100,7 +104,8 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     # whose color was pruned, or the pair (v, w) behind a pair-rule prune.
     causes: list[list[int | tuple[int, int]]] = [[] for _ in range(n)]
     decision_depth = [-1] * n  # frame index of a decided vertex, else -1
-    colored = decisions = forced = pair_prunes = 0
+    trail: list[int] = []  # newest last: w for a removal from w's domain, ~v for a coloring of v
+    colored = decisions = forced = pair_prunes = backjumps = max_depth = 0
     # Holds domain size << rank_bits | rank[v] for every uncolored vertex v
     # with two or more colors left, among stale entries: a push follows every
     # shrink to two or more colors and every undo. rank[v]'s low bits are v.
@@ -121,7 +126,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                 return v
             heappop(heap)
 
-    def propagate(pending: list[int], trail: list[int]) -> int:
+    def propagate(pending: list[int]) -> int:
         """Color each pending vertex when it is taken off the list, last in
         first out (a decision comes already colored), prune its color from
         its uncolored neighbors and chase the pair rule, until nothing is
@@ -188,32 +193,29 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                                     return u
         return _FIXPOINT
 
-    def retract(frame: list):
-        """Take back a frame's decision and, newest first, the removals and
-        forced colorings it propagated."""
+    def retract(height: int):
+        """Undo the trail down to `height`, newest first: decisions, removals and forced colorings. A removal and
+        a decision push their vertex on the heap; a forced vertex's own removals push it."""
         nonlocal colored
-        v, trail = frame[0], frame[3]
-        for x in reversed(trail):
-            if x >= 0:
+        for x in reversed(trail[height:]):
+            if x < 0:
+                x = ~x
+                assignment[x] = -1
+                colored -= 1
+                if decision_depth[x] < 0:
+                    continue
+                decision_depth[x] = -1
+            else:
                 removals = causes[x]
                 removals.pop()
                 domains[x] |= removals.pop()
-                heappush(heap, domains[x].bit_count() << rank_bits | rank[x])
-            else:
-                assignment[~x] = -1
-                colored -= 1
-        trail.clear()
-        assignment[v] = -1
-        decision_depth[v] = -1
-        colored -= 1
-        heappush(heap, domains[v].bit_count() << rank_bits | rank[v])
+            heappush(heap, domains[x].bit_count() << rank_bits | rank[x])
+        del trail[height:]
 
-    def explain(v: int) -> set[int]:
-        """Frame indices of the decisions behind every removal from v's
-        domain, found by walking each removal's cause back: a decided vertex
-        stands for its frame, a forced vertex and a pair for the removals
-        from their own domains."""
-        depths = set()
+    def explain(v: int) -> int:
+        """Bit set of the frame indices of the decisions behind every removal from v's domain, found by walking
+        each removal's cause back: a decided vertex stands for its frame, a forced vertex and a pair for theirs."""
+        depths = 0
         seen = {v}
         todo = [v]
         while todo:
@@ -221,7 +223,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                 if type(cause) is int:
                     depth = decision_depth[cause]
                     if depth >= 0:
-                        depths.add(depth)
+                        depths |= 1 << depth
                     elif cause not in seen:
                         seen.add(cause)
                         todo.append(cause)
@@ -232,20 +234,18 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
                         todo.append(w)
         return depths
 
-    def frame(used: int) -> list:
-        """[vertex, untried candidate colors, colors used before it, trail,
-        frame indices its dead ends so far rest on]."""
+    def frame(used: int) -> list[int]:
+        """[vertex, untried candidate colors, colors used before it, trail height where its decision goes,
+        bit set of the frame indices its dead ends so far rest on]."""
         v = select()
-        return [v, domains[v] & ((1 << min(colors, used + 1)) - 1), used, [], set()]
-
-    backjumps = max_depth = 0
+        return [v, domains[v] & ((1 << min(colors, used + 1)) - 1), used, len(trail), 0]
 
     def outcome(status: str, witness: Coloring | None = None) -> SolveOutcome:
         counters = SolveCounters(decisions, forced, pair_prunes, backjumps, max_depth)
         return SolveOutcome(status, witness, time.perf_counter() - start, counters)
 
     # With one color every vertex is forced before any decision.
-    result = propagate(list(range(n)), []) if colors == 1 else _FIXPOINT
+    result = propagate(list(range(n))) if colors == 1 else _FIXPOINT
     if result == _OUT_OF_TIME:
         return outcome("timeout")
     stack = [frame(0)] if result == _FIXPOINT and colored < n else []
@@ -253,26 +253,24 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
     while stack:
         depth = len(stack) - 1
         top = stack[depth]
-        v, candidates, used, trail, conflict = top
+        v, candidates, used, height, conflict = top
         if assignment[v] >= 0:  # undo the candidate tried last
-            retract(top)
+            retract(height)
         if not candidates:
             # Dead end: jump to the deepest frame this one's failures rest
             # on. Colors missing from v's domain rest on their removals;
             # colors held back by symmetry breaking rest on every frame.
             conflict |= explain(v)
             if domains[v] >> min(colors, used + 1):
-                conflict.update(range(depth))
+                conflict |= (1 << depth) - 1
             if not conflict:  # no decision to take back: uncolorable
                 break
-            target = max(conflict)
-            conflict.discard(target)
-            del stack[depth]
+            target = conflict.bit_length() - 1
             if target < depth - 1:
                 backjumps += 1
-            while len(stack) > target + 1:
-                retract(stack.pop())
-            stack[target][4] |= conflict
+            retract(stack[target + 1][3])
+            del stack[target + 1 :]
+            stack[target][4] |= conflict ^ 1 << target
             continue
         bit = candidates & -candidates
         top[1] = candidates ^ bit
@@ -281,7 +279,8 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         assignment[v] = color
         decision_depth[v] = depth
         colored += 1
-        result = propagate([v], trail)
+        trail.append(~v)
+        result = propagate([v])
         if result == _FIXPOINT:
             if colored == n:
                 break
@@ -290,9 +289,7 @@ def solve(g: Graph, k: int, budget: float = DEFAULT_BUDGET) -> SolveOutcome:
         elif result == _OUT_OF_TIME:
             return outcome("timeout")
         else:  # the frames besides this one that the wipe-out rests on
-            found = explain(result)
-            found.discard(depth)
-            conflict |= found
+            top[4] = conflict | explain(result) & ~(1 << depth)
     if colored < n:
         return outcome("uncolorable")
     witness = Coloring(k, tuple(assignment))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -460,3 +463,22 @@ def test_roundtrip_witness_mismatch_is_internal_error(k3_file, capsys, monkeypat
     monkeypatch.setattr("kcol3.cli._project", shifted)
     assert main(["roundtrip", "--k", "3", "--input", str(k3_file)]) == 4
     assert capsys.readouterr().out == "round-trip witness mismatch\n"
+
+
+# The CLI, run after its own process limits its address space to 1 GiB.
+_CAPPED_CLI = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); import kcol3.cli"
+_CAPPED_CLI += "; sys.exit(kcol3.cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", ["reduce", "roundtrip", "compare"])
+def test_size_cap_refuses_before_memory_runs_out(tmp_path, command):
+    # In a child process under the 1 GiB limit, so a cap that regresses ends the child, not the machine: without the
+    # cap this G' (about 2 * 10**10 vertices) is built until memory runs out, and that is exit 4.
+    (tmp_path / "k2.col").write_text(emit_dimacs_col(complete_graph(2)))
+    argv = [command, "--k", "100000", "--input", "k2.col"] + {"roundtrip": []}.get(command, ["--output", "out"])
+    env = {**os.environ, "PYTHONPATH": str(Path(kcol3.cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: reduced graph would have 20000799995 vertices, above the cap of 1789569\n"

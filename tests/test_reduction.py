@@ -15,6 +15,7 @@ from kcol3 import (
     Graph,
     InvariantViolation,
     ReductionMap,
+    compare_routes,
     complete_graph,
     emit_dimacs_col,
     extend_coloring,
@@ -251,8 +252,11 @@ def _line_of_first_difference(text, reference):
 
 
 _AT_LINE = re.compile(r"reduction map differs from the reduction of its k=\d+, n=\d+ and source edges at line (\d+)")
-# The faults that have no line: the header, and the edge list as Graph checks it.
-_NO_LINE = re.compile(r"reduction map (has no to_json header|lists do not|source edges are not)|self-loop|edge \(")
+# The faults that have no line: the header, a k below 2 as the map refuses it, and the edge list as Graph checks it.
+_NO_LINE = re.compile(
+    r"reduction map (has no to_json header|lists do not|source edges are not)|palette size must be at least 2, got [01]$"
+    r"|self-loop|edge \("
+)
 
 # Where a single-character edit of a sidecar lands: digits of the header counts, of tags, of boundaries, of
 # internal starts, or any whitespace.
@@ -320,6 +324,14 @@ def test_map_from_json_names_missing_field():
         ReductionMap.from_json(text)
 
 
+def _unchecked(k, n, edges):
+    """A map with fields that no reduction has, which `ReductionMap` itself refuses; its `to_json` writes them in
+    the sidecar's layout all the same."""
+    rmap = object.__new__(ReductionMap)
+    vars(rmap).update(k=k, n=n, edges=edges)
+    return rmap
+
+
 def _edited_sidecar(edit):
     """The sidecar of a small map with one edit to its document, written in to_json's layout, so that the edit
     itself is what the reader refuses."""
@@ -338,8 +350,8 @@ def _edited_sidecar(edit):
         _edited_sidecar(lambda doc: doc.update(n=10**12)),
         _edited_sidecar(lambda doc: doc.update(k=10**9)),
         _edited_sidecar(lambda doc: doc["gadgets"][-3].update(tag="edge-conflict:1:9:0")),
-        ReductionMap(0, 0, ()).to_json(),  # to_json's own layout of a palette no reduction has
-        ReductionMap(1, 2, ((0, 1),)).to_json(),
+        _unchecked(0, 0, ()).to_json(),  # to_json's own layout of a palette no reduction has
+        _unchecked(1, 2, ((0, 1),)).to_json(),
     ],
     ids=["array", "indicator-int", "internal-len", "k", "huge-n", "huge-k", "edge-tag", "k-0", "k-1"],
 )
@@ -391,9 +403,9 @@ def _with_n(rmap, n):
             _edited_sidecar(_reverse_edge_records),
             r"reduction map source edges are not sorted, distinct pairs \(u < v\)",
         ),
-        (_with_n(ReductionMap(3, 2, ((1, 1),)), 2), "self-loop at vertex 1"),
-        (_with_n(ReductionMap(3, 3, ((0, 2), (0, 1))), 3), "reduction map source edges are not sorted"),
-        (_with_n(ReductionMap(3, 3, ((0, 1), (0, 1))), 3), "reduction map source edges are not sorted"),
+        (_with_n(_unchecked(3, 2, ((1, 1),)), 2), "self-loop at vertex 1"),
+        (_with_n(_unchecked(3, 3, ((0, 2), (0, 1))), 3), "reduction map source edges are not sorted"),
+        (_with_n(_unchecked(3, 3, ((0, 1), (0, 1))), 3), "reduction map source edges are not sorted"),
         (_with_n(ReductionMap(3, 3, ((0, 2),)), 2), r"edge \(0,2\) out of range for n=2"),
     ],
     ids=["non-integer-field", "edges-out-of-order", "self-loop", "unsorted", "repeated", "out-of-range"],
@@ -410,6 +422,41 @@ def _traced_peak(f):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, 2, ()), "palette size must be at least 2, got 0"),
+        ((1, 2, ((0, 1),)), "palette size must be at least 2, got 1"),
+        ((3, 2, ((1, 1),)), "self-loop at vertex 1"),
+    ],
+    ids=["k-0", "k-1", "self-loop"],
+)
+def test_map_refuses_fields_no_reduction_has(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReductionMap(*fields)
+
+
+def _refusal(f):
+    """The message of the ValueError that f() raises."""
+    with pytest.raises(ValueError) as refused:
+        f()
+    return str(refused.value)
+
+
+def test_size_cap_refuses_a_reduction_before_building_it():
+    # K2 at k = 100,000: G' would have about 2 * 10**10 vertices, and building it runs out of memory.
+    g, k = complete_graph(2), 10**5
+    expected = f"reduced graph would have {formula_vertices(2, 1, k)} vertices, above the cap of 1789569"
+    for f in (lambda: size_report(g, k), lambda: reduce_to_3col(g, k), lambda: compare_routes(g, k, 0)):
+        peak, message = _traced_peak(lambda: _refusal(f))
+        assert message == expected
+        assert peak < 2**20
+    # The cap is on G''s closed-form vertex count, 6n + 3 for an edgeless source at k = 2.
+    assert size_report(Graph(298_261, ()), 2).vertices == 1_789_569
+    with pytest.raises(ValueError, match="^reduced graph would have 1789575 vertices, above the cap of 1789569$"):
+        size_report(Graph(298_262, ()), 2)
 
 
 def test_empty_reduction_memory_does_not_grow_with_k_squared():

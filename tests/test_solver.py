@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import heapq
 import math
 import sys
 import tracemalloc
@@ -207,6 +208,47 @@ def test_pinned_counters(name):
     g = PINNED_SEARCH_TREES[name][0]()
     gprime, _ = reduce_to_3col(g, 3)
     assert tuple(tuple(solve(graph, 3).counters) for graph in (g, gprime)) == PINNED_COUNTERS[name]
+
+
+# Past 4n + 64 entries select() rebuilds the heap from the uncolored vertices. (Rebuilds, entries rebuilt in all)
+# when refuting the G' of the Mycielskian of C7 as numbered, and as relabelled by two vertex permutations: the first
+# reaches exactly 4n + 64 entries at a select() and the second exactly 4n + 65, so a threshold one off either way
+# changes these counts, though it never changes an answer or a search tree.
+@pytest.mark.parametrize(
+    "label, rebuilds",
+    [
+        (range(15), (4, 1211)),
+        ((7, 6, 14, 13, 0, 5, 2, 12, 4, 3, 8, 10, 11, 9, 1), (3, 884)),
+        ((2, 7, 8, 6, 10, 12, 9, 13, 3, 4, 5, 0, 11, 14, 1), (3, 883)),
+    ],
+    ids=["as-numbered", "at-4n+64", "at-4n+65"],
+)
+def test_heap_is_rebuilt_from_the_uncolored_vertices(monkeypatch, label, rebuilds):
+    sizes = []
+
+    def spy(heap):
+        sizes.append(len(heap))
+        heapq.heapify(heap)
+
+    monkeypatch.setattr(solver, "heapify", spy)
+    g = Graph(15, [(label[u], label[v]) for u, v in mycielskian_of_c7().edges])
+    outcome = solve(reduce_to_3col(g, 3)[0], 3)
+    assert outcome.status == "uncolorable"
+    assert (len(sizes), sum(sizes)) == rebuilds
+
+
+def test_search_state_per_live_frame_is_bounded():
+    # Every vertex of an edgeless graph is decided and stays a frame to the end, so the traced peak is the per-vertex
+    # lists plus one live frame per vertex: with frames of ints and one shared trail, under 540 bytes per vertex.
+    n = 5000
+    tracemalloc.start()
+    try:
+        outcome = solve(Graph(n, ()), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "colorable" and outcome.counters.max_depth == n
+    assert peak < 540 * n
 
 
 # The pair rule skips a queued vertex whose domain is no longer two colors
