@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .graphs import Graph, _emit_witness, _read_witness, emit_dimacs_col, gen_gnp, is_proper_coloring, parse_dimacs_col
-from .reduction import _project, lift_witness, reduce_to_3col, size_report
+from .reduction import _MAX_VERTICES, _project, lift_witness, reduce_to_3col, size_report
 from .sat_route import compare_routes, comparison_to_json
 from .solver import DEFAULT_BUDGET, solve
 
@@ -30,6 +30,14 @@ def _read_source(args, least: int = 2) -> Graph:
     if args.k < least:  # before any file is read, so a bad palette is reported whatever the paths
         raise ValueError(f"--k must be at least {least}")
     return parse_dimacs_col(Path(args.input).read_bytes())
+
+
+def _read_capped(args) -> Graph:
+    """The source of `solve` or `verify`, refused above the G' cap before either makes a list of n entries."""
+    g = _read_source(args, 1)
+    if g.n > _MAX_VERTICES:
+        raise ValueError(f"graph has {g.n} vertices, above the cap of {_MAX_VERTICES}")
+    return g
 
 
 def _cmd_reduce(args) -> int:
@@ -48,7 +56,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _read_source(args, 1)
+    g = _read_capped(args)
     outcome = solve(g, args.k, args.timeout)
     if outcome.status == "timeout":
         print(f"timeout after {outcome.wall_time:.2f}s ({outcome.nodes} nodes)")
@@ -63,7 +71,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_source(args, 1)
+    g = _read_capped(args)
     c = _read_witness(Path(args.witness).read_bytes(), g.n, args.k)
     if is_proper_coloring(g, c):
         print("witness valid")

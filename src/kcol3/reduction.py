@@ -1,7 +1,7 @@
 """Direct reduction from k-colorability to 3-colorability.
 
-G' is a pure function of (k, n, source edges). Its vertices are numbered
-in this fixed order:
+G' is a pure function of the source graph G and k. Its vertices are
+numbered in this fixed order:
 
 1. a palette triangle T, F, R (vertices 0, 1, 2);
 2. indicator vertices v_ij = 3 + ik + j (row-major over source vertex i,
@@ -13,8 +13,8 @@ in this fixed order:
    across an edge).
 
 Each gadget's internals follow the previous gadget's. A ReductionMap stores
-(k, n, source edges) and derives the layout from them on demand: the n
-chains one by one, and blocks 4 and 5, whose gadgets are all base gadgets
+k and G itself and derives the layout from them on demand: the n chains
+one by one, and blocks 4 and 5, whose gadgets are all base gadgets
 (x, y, F) with two internals each, as two columns listed in tag order.
 """
 
@@ -23,12 +23,11 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property
-from itertools import chain, combinations, islice, repeat
-from operator import lt
+from itertools import chain, combinations, count, islice, repeat
 
 from .errors import InvariantViolation
 from .gadgets import GadgetInstance, _chain_links, _link_columns, extend_coloring
-from .graphs import _ENDPOINT, _WIDTH, Coloring, Graph, _Frozen, is_proper_coloring
+from .graphs import _ENDPOINT, Coloring, Graph, _Frozen, is_proper_coloring
 
 __all__ = [
     "ReductionMap",
@@ -48,15 +47,15 @@ _HEAD = re.compile(r'\{\n  "k": ([0-9]{1,20}),\n  "n": ([0-9]{1,20}),\n  "e": ([
 _EDGE_TAG = re.compile(r'"edge-conflict:([0-9]{1,20}):([0-9]{1,20}):0"')
 
 
-def _record_blocks(tags, width: int, count: int, columns):
-    """`count` gadget records with `width` boundary vertices, laid out as `json.dumps(..., indent=2)` does, in
+def _record_blocks(tags, width: int, total: int, columns):
+    """`total` gadget records with `width` boundary vertices, laid out as `json.dumps(..., indent=2)` does, in
     blocks of at most _BLOCK. A block is one `%` of a repeated record template against the next tags and
     `columns(lo, hi)`, the boundary and internal_start columns of records lo..hi-1, interleaved record by record."""
     boundary = ",\n".join(["        %d"] * width)
     template = f'    {{\n      "tag": "%s",\n      "boundary": [\n{boundary}\n      ],\n      "internal_start": %d,\n'
     template += f'      "internal_len": {3 * width - 7}\n    }}'
-    for lo in range(0, count, _BLOCK):
-        hi = min(lo + _BLOCK, count)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
         fields = [list(islice(tags, hi - lo)), *columns(lo, hi)]
         values = [0] * (len(fields) * (hi - lo))
         for j, field in enumerate(fields):
@@ -65,13 +64,12 @@ def _record_blocks(tags, width: int, count: int, columns):
 
 
 class ReductionMap(_Frozen):
-    """The reduction of (k, n, edges), where `edges` is a source graph's
-    canonical edge tuple (`Graph.edges`). Every vertex of G' is derived
-    from these three fields, which are checked when the map is made."""
+    """The reduction of (k, source), where `source` is the source `Graph`.
+    Every vertex of G' is derived from these two fields; a Graph is
+    canonical by construction, so only k is checked when the map is made."""
 
     k: int
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    source: Graph
 
     t_vertex = 0
     f_vertex = 1
@@ -80,52 +78,43 @@ class ReductionMap(_Frozen):
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"palette size must be at least 2, got {self.k}")
-        n, edges = self.n, self.edges  # as `Graph(n, edges).edges == edges`, but only a fault builds a Graph
-        if not (0 <= n <= 1 << _WIDTH and all(0 <= u < v < n for u, v in edges) and all(map(lt, edges, edges[1:]))):
-            Graph(n, edges)  # refuses a vertex count out of range, a self-loop or an edge out of range
-            raise ValueError("reduction map source edges are not sorted, distinct pairs (u < v)")
-
-    @property
-    def e(self) -> int:
-        return len(self.edges)
 
     @property
     def indicator(self) -> tuple[range, ...]:
         """[i][j] -> vertex of v_ij."""
         k = self.k
-        return tuple(range(3 + i * k, 3 + (i + 1) * k) for i in range(self.n))
+        return tuple(range(3 + i * k, 3 + (i + 1) * k) for i in range(self.source.n))
 
     def _chains(self):
         """(boundary, internal_start) of each at-least-one chain: a row of
         indicators into T, with 3k - 4 internals."""
-        start, step = 3 + self.n * self.k, 3 * self.k - 4
-        return zip(((*row, self.t_vertex) for row in self.indicator), range(start, start + self.n * step, step))
+        return zip(((*row, self.t_vertex) for row in self.indicator), count(3 + self.source.n * self.k, 3 * self.k - 4))
 
     def _base_gadgets(self) -> tuple[range, list[int], list[int]]:
         """(starts, xs, ys): the i-th gadget `_tags` names after the chains is (xs[i], ys[i], F), with internals
         starts[i] and starts[i] + 1. Edge (u, v)'s gadget for color c joins v_uc and v_vc."""
-        k, n = self.k, self.n
+        k, n, us, vs = self.k, self.source.n, self.source.us, self.source.vs
         ind = list(range(3, 3 + n * k))  # one int object per indicator, shared by both columns
         rows = [ind[i : i + k] for i in range(0, n * k, k)]
         pairs = list(combinations(range(k), 2)) if n else []  # no k^2 walk when n = 0
-        xs = [row[j1] for row in rows for j1, _ in pairs] + [x for u, _ in self.edges for x in rows[u]]
-        ys = [row[j2] for row in rows for _, j2 in pairs] + [y for _, v in self.edges for y in rows[v]]
+        xs = [row[j1] for row in rows for j1, _ in pairs] + [x for u in us for x in rows[u]]
+        ys = [row[j2] for row in rows for _, j2 in pairs] + [y for v in vs for y in rows[v]]
         start = 3 + n * (4 * k - 4)
         return range(start, start + 2 * len(xs), 2), xs, ys
 
     def _tags(self):
         """The sidecar tag of every gadget, in construction order: the chains, then the base gadgets."""
         return chain(
-            (f"at-least-one:{i}" for i in range(self.n)),
-            (f"at-most-one:{i}:{j1}:{j2}" for i in range(self.n) for j1, j2 in combinations(range(self.k), 2)),
-            (f"edge-conflict:{u}:{v}:{c}" for u, v in self.edges for c in range(self.k)),
+            (f"at-least-one:{i}" for i in range(self.source.n)),
+            (f"at-most-one:{i}:{j1}:{j2}" for i in range(self.source.n) for j1, j2 in combinations(range(self.k), 2)),
+            (f"edge-conflict:{u}:{v}:{c}" for u, v in zip(self.source.us, self.source.vs) for c in range(self.k)),
         )
 
     @cached_property
     def _columns(self) -> tuple[array, array]:
         """G' as two endpoint columns of (lower, higher) edges: palette triangle, R to the indicators, then the
         gadget wiring. Built once per map and shared by its callers, which must not mutate the arrays."""
-        t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.n * self.k
+        t, f, r, m = self.t_vertex, self.f_vertex, self.r_vertex, self.source.n * self.k
         prev, inputs, out, a = _chain_links(self._chains())
         starts, xs, ys = self._base_gadgets()
         a += starts
@@ -142,8 +131,8 @@ class ReductionMap(_Frozen):
     def _parts(self):
         """The sidecar text in parts, the only code that decides its bytes: the header as `json.dumps(...,
         indent=2)` lays it out, with the indicator table from a row template, then the gadget records in blocks."""
-        k, n, t, f, r = self.k, self.n, self.t_vertex, self.f_vertex, self.r_vertex
-        yield f'{{\n  "k": {k},\n  "n": {n},\n  "e": {self.e},\n  "t": {t},\n  "f": {f},\n  "r": {r},\n  "indicator": '
+        k, n, e, t, f, r = self.k, self.source.n, self.source.e, self.t_vertex, self.f_vertex, self.r_vertex
+        yield f'{{\n  "k": {k},\n  "n": {n},\n  "e": {e},\n  "t": {t},\n  "f": {f},\n  "r": {r},\n  "indicator": '
         if not n:  # no gadget, and no k-wide row template: k may be huge
             yield '[],\n  "gadgets": []\n}\n'
             return
@@ -166,17 +155,18 @@ class ReductionMap(_Frozen):
     def from_json(cls, text: str) -> "ReductionMap":
         """The map whose `to_json` is `text`; any other input raises ValueError naming its fault. k, n and e come
         from the header's fixed prefix (ASCII digits only) and the edges from the c = 0 edge-conflict tags. A k, n
-        or e too large for the text is refused before anything is derived, and the map refuses a k below 2 and
-        edges that are not a `Graph`'s. Then the map's parts are compared with the text in place and must end
-        exactly at its end; the first character that differs is named by its line. No JSON document is built."""
+        or e too large for the text is refused before anything is derived; `Graph` refuses a self-loop or an edge
+        out of range, and the map a k below 2. Then the map's parts are compared with the text in place and must
+        end exactly at its end; the first character that differs is named by its line, so tags out of order or
+        repeated are refused there. No JSON document is built."""
         head = _HEAD.match(text) if isinstance(text, str) else None
         if head is None:
             raise ValueError("reduction map has no to_json header")
         k, n, e = map(int, head.groups())
         if k * (n * k + e) > len(text):  # before anything is derived: the text could not hold the records
             raise ValueError(f"reduction map lists do not have the lengths k={k}, n={n}, e={e} give")
-        edges = tuple((int(u), int(v)) for u, v in _EDGE_TAG.findall(text))
-        rmap, pos = cls(k, n, edges), 0  # e itself is checked by the walk, in the first part
+        edges = [(int(u), int(v)) for u, v in _EDGE_TAG.findall(text)]
+        rmap, pos = cls(k, Graph(n, edges)), 0  # e itself is checked by the walk, in the first part
         for part in rmap._parts():  # each part must start where the last one ended
             if not text.startswith(part, pos):
                 seg = text[pos : pos + len(part)]  # the error path's only copy: the failing part's span of the text
@@ -197,8 +187,10 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
 
     Deterministic: identical inputs give identical vertex numbering.
     """
-    rep = size_report(g, k)  # refuses a palette below 2, or a G' above the cap, before anything is built
-    rmap = ReductionMap(k, g.n, g.edges)
+    rep = size_report(g, k)  # refuses a palette below 2
+    if rep.vertices > _MAX_VERTICES:  # before anything is built
+        raise ValueError(f"reduced graph would have {rep.vertices} vertices, above the cap of {_MAX_VERTICES}")
+    rmap = ReductionMap(k, g)
     gprime = rmap.reconstruct_graph()
     fv, fe = rep.vertices, rep.edges
     if (gprime.n, gprime.e) != (fv, fe):
@@ -208,7 +200,7 @@ def reduce_to_3col(g: Graph, k: int) -> tuple[Graph, ReductionMap]:
 
 def _is_proper_on_gprime(rmap: ReductionMap, c: Coloring) -> bool:
     """`is_proper_coloring` on G', run over the map's edge columns, not a built Graph."""
-    a, n = c.assignment, formula_vertices(rmap.n, rmap.e, rmap.k)
+    a, n = c.assignment, formula_vertices(rmap.source.n, rmap.source.e, rmap.k)
     if len(a) != n:
         raise ValueError(f"coloring covers {len(a)} vertices, reduced graph has {n}")
     us, vs = rmap._columns
@@ -220,7 +212,7 @@ def lift_witness(g: Graph, c: Coloring, rmap: ReductionMap) -> Coloring:
     reduced graph: T, F, R get colors 0, 1, 2; indicator v_ij copies T's
     color iff c(i) = j, else F's; gadget internals are filled by the
     deterministic extension search, once per distinct boundary coloring."""
-    if (g.n, g.edges) != (rmap.n, rmap.edges):
+    if g != rmap.source:
         raise ValueError("graph is not the reduction map's source graph")
     if c.palette_size != rmap.k:
         raise ValueError(f"witness palette {c.palette_size} does not match reduction k={rmap.k}")
@@ -250,7 +242,7 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
     """Read a proper 3-coloring of the reduced graph back to a k-coloring
     of the source: vertex i gets the unique j whose indicator shares T's
     color."""
-    if g is not None and (g.n, g.edges) != (rmap.n, rmap.edges):
+    if g is not None and g != rmap.source:
         raise ValueError("graph is not the reduction map's source graph")
     if c3.palette_size != 3:
         raise ValueError("projection expects a 3-color witness")
@@ -261,7 +253,7 @@ def project_witness(rmap: ReductionMap, c3: Coloring, g: Graph | None = None) ->
 
 def _project(rmap: ReductionMap, c3: Coloring) -> Coloring:
     """`project_witness` of a 3-coloring already known to be a proper coloring of G'. The result is checked
-    against the map's source edges, which are g's whenever a caller passes g."""
+    on the map's source graph, which is g whenever a caller passes g."""
     a, t_color = c3.assignment, c3[rmap.t_vertex]
     assign = []
     for i, row in enumerate(rmap.indicator):
@@ -269,9 +261,10 @@ def _project(rmap: ReductionMap, c3: Coloring) -> Coloring:
         if colors.count(t_color) != 1:
             raise InvariantViolation(f"source vertex {i} has {colors.count(t_color)} indicators colored T")
         assign.append(colors.index(t_color))
-    if any(assign[u] == assign[v] for u, v in rmap.edges):
+    projected = Coloring(rmap.k, tuple(assign))
+    if not is_proper_coloring(rmap.source, projected):
         raise InvariantViolation("projected coloring is not proper; construction bug")
-    return Coloring(rmap.k, tuple(assign))
+    return projected
 
 
 def formula_vertices(n: int, e: int, k: int) -> int:
@@ -305,14 +298,12 @@ class SizeReport(_Frozen):
 
 
 def size_report(g: Graph, k: int) -> SizeReport:
-    """Sizes of the reduction of (g, k), from the closed forms alone, refusing a G' above _MAX_VERTICES vertices
-    before anything is built; `reduce_to_3col` checks them against every G' it builds."""
+    """Sizes of the reduction of (g, k), from the closed forms alone, for any k >= 2; `reduce_to_3col` refuses a
+    G' above _MAX_VERTICES vertices before it builds one and checks them against every G' it builds."""
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
     n, e = g.n, g.e
     fv = formula_vertices(n, e, k)
-    if fv > _MAX_VERTICES:
-        raise ValueError(f"reduced graph would have {fv} vertices, above the cap of {_MAX_VERTICES}")
     fe = formula_edges(n, e, k)
     bound_v = 2 * k * k * n + 2 * k * e
     bound_e = 3 * k * k * n + 2 * k * e

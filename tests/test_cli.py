@@ -482,3 +482,30 @@ def test_size_cap_refuses_before_memory_runs_out(tmp_path, command):
     )
     assert result.returncode == 2, result.stderr
     assert result.stderr == "error: reduced graph would have 20000799995 vertices, above the cap of 1789569\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_source_cap_refuses_before_memory_runs_out(tmp_path, command):
+    # Without the cap, solve's per-vertex lists and the witness walker's list of n entries run out of the 1 GiB:
+    # that is exit 4.
+    (tmp_path / "big.col").write_text("p edge 200000000 0\n")
+    (tmp_path / "w.txt").write_text("v 1 0\n")
+    argv = [command, "--k", "3", "--input", "big.col"] + {"verify": ["--witness", "w.txt"]}.get(command, [])
+    env = {**os.environ, "PYTHONPATH": str(Path(kcol3.cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: graph has 200000000 vertices, above the cap of 1789569\n"
+
+
+def test_sizes_only_compare_is_not_capped(tmp_path, capsys):
+    # The G' of K2 at k = 100,000 is far above the cap, but at --timeout 0 no graph is built.
+    src, out = tmp_path / "k2.col", tmp_path / "big.json"
+    src.write_text(emit_dimacs_col(complete_graph(2)), newline="")
+    assert main(["compare", "--k", "100000", "--input", str(src), "--output", str(out), "--timeout", "0"]) == 0
+    record = json.loads(out.read_text())
+    assert record["sane"] == {"vertices": 20000799995, "edges": 50001199993}
+    assert record["decisions"] == {"sane": None, "sat_route": None}
+    expected = "sane 20000799995v/50001199993e vs sat-route 30000999997v/70001599997e (ratio 1.50x vertices)\n"
+    assert capsys.readouterr().out == expected

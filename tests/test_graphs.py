@@ -88,7 +88,7 @@ def _lower_higher(edges) -> bool:
        st.data())
 def test_every_layout_gives_lower_higher_pairs(k, n, seed, p, formula, data):
     g = gen_gnp(n, p, seed)
-    assert _lower_higher(zip(*ReductionMap(k, n, g.edges)._columns))
+    assert _lower_higher(zip(*ReductionMap(k, g)._columns))
     handed = []
 
     def spy(n, *, columns):
@@ -124,7 +124,7 @@ def _reference_edges(n, edges):
 
 def _layout_edges(g, k):
     """The edges of G' in the order `ReductionMap.reconstruct_graph` hands them to `Graph`."""
-    return tuple(zip(*ReductionMap(k, g.n, g.edges)._columns))
+    return tuple(zip(*ReductionMap(k, g)._columns))
 
 
 def _both_ways_shuffled(g, seed):
@@ -220,7 +220,7 @@ def test_every_build_path_runs_post_init_once(monkeypatch):
         "pairs": lambda: Graph(g.n, g.edges),
         "bulk reader": lambda: _read_noting_walker(parse_dimacs_col, "_walk_dimacs_col", kcol3.graphs, text)[0],
         "walker": lambda: _walk_dimacs_col(text),
-        "reconstruct_graph": lambda: ReductionMap(3, g.n, g.edges).reconstruct_graph(),
+        "reconstruct_graph": lambda: ReductionMap(3, g).reconstruct_graph(),
         "encode_cnf_as_3col": lambda: encode_cnf_as_3col(encode_col_as_cnf(g, 3))[0],
         "gen_gnp": lambda: gen_gnp(12, 0.4, 2),
         "GraphBuilder": builder.to_graph,

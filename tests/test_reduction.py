@@ -101,7 +101,7 @@ def test_map_reconstructs_reduced_graph():
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_gprime_columns_follow_the_gadget_log(k):
-    rmap = ReductionMap(k, 6, gen_gnp(6, 0.5, 3).edges)
+    rmap = ReductionMap(k, gen_gnp(6, 0.5, 3))
     t, f, r = rmap.t_vertex, rmap.f_vertex, rmap.r_vertex
     expected = [(t, f), (t, r), (f, r)]
     expected += [(r, v) for row in rmap.indicator for v in row]
@@ -114,11 +114,11 @@ def _reference_boundaries(rmap):
     """(boundary, internal_start) of every gadget, walked one gadget at a
     time: the reference for the closed-form chain and base-gadget blocks."""
     k, t, f, ind = rmap.k, rmap.t_vertex, rmap.f_vertex, rmap.indicator
-    pos = 3 + rmap.n * k
+    pos = 3 + rmap.source.n * k
     for boundary in chain(
         ((*row, t) for row in ind),
         ((row[j1], row[j2], f) for row in ind for j1, j2 in combinations(range(k), 2)),
-        ((ind[u][c], ind[v][c], f) for u, v in rmap.edges for c in range(k)),
+        ((ind[u][c], ind[v][c], f) for u, v in rmap.source.edges for c in range(k)),
     ):
         yield boundary, pos
         pos += 3 * len(boundary) - 7
@@ -144,7 +144,7 @@ def _reference_edges(rmap):
 
 def _reference_lift(c, rmap):
     """lift_witness's coloring, built gadget by gadget."""
-    assign = [-1] * formula_vertices(rmap.n, rmap.e, rmap.k)
+    assign = [-1] * formula_vertices(rmap.source.n, rmap.source.e, rmap.k)
     assign[rmap.t_vertex], assign[rmap.f_vertex], assign[rmap.r_vertex] = 0, 1, 2
     for i, row in enumerate(rmap.indicator):
         for j, v in enumerate(row):
@@ -172,8 +172,8 @@ def _colored_graphs(draw):
 @example((2, 3, [0, 1, 0], Graph(3, ())))
 @example((2, 4, [0, 1, 0, 1], Graph(4, ((0, 1), (1, 2), (2, 3)))))
 def test_layout_and_lift_equal_the_per_gadget_reference(case):
-    k, n, colors, g = case
-    rmap = ReductionMap(k, n, g.edges)
+    k, _, colors, g = case
+    rmap = ReductionMap(k, g)
     assert list(zip(*rmap._columns)) == _reference_edges(rmap)
     c = Coloring(k, colors)
     assert lift_witness(g, c, rmap) == _reference_lift(c, rmap)
@@ -186,20 +186,21 @@ def _document(rmap):
         for tag, g in _gadget_log(rmap)
     ]
     indicator = [list(row) for row in rmap.indicator]
-    return {"k": rmap.k, "n": rmap.n, "e": rmap.e, "t": 0, "f": 1, "r": 2, "indicator": indicator, "gadgets": gadgets}
+    head = {"k": rmap.k, "n": rmap.source.n, "e": rmap.source.e, "t": 0, "f": 1, "r": 2}
+    return {**head, "indicator": indicator, "gadgets": gadgets}
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 @pytest.mark.parametrize("n, edges", [(0, ()), (1, ()), (2, ()), (3, ((0, 1), (0, 2)))])
 def test_to_json_is_json_dumps_of_the_document(n, edges, k):
-    rmap = ReductionMap(k, n, edges)
+    rmap = ReductionMap(k, Graph(n, edges))
     assert rmap.to_json() == json.dumps(_document(rmap), indent=2) + "\n"
 
 
 def test_to_json_spans_many_blocks():
     """The chains, and the at-most-one and edge-conflict records, each fill more than two of the writer's blocks."""
     g = gen_gnp(600, 0.003, 0)
-    rmap = ReductionMap(3, g.n, g.edges)
+    rmap = ReductionMap(3, g)
     assert min(g.n, 3 * g.n, 3 * g.e) > 2 * kcol3.reduction._BLOCK
     assert rmap.to_json() == json.dumps(_document(rmap), indent=2) + "\n"
 
@@ -216,7 +217,7 @@ def test_map_json_round_trip():
 @given(st.integers(2, 5), simple_graphs(max_n=8))
 def test_map_json_round_trip_on_drawn_graphs(k, g):
     """from_json reads to_json's own bytes, not a JSON document: the compact form of the same document is refused."""
-    rmap = ReductionMap(k, g.n, g.edges)
+    rmap = ReductionMap(k, g)
     text = rmap.to_json()
     assert ReductionMap.from_json(text) == rmap
     with pytest.raises(ValueError):
@@ -224,7 +225,7 @@ def test_map_json_round_trip_on_drawn_graphs(k, g):
 
 
 def test_from_json_reads_its_own_text_without_a_document(monkeypatch):
-    maps = [ReductionMap(3, 4, ((0, 1), (0, 3), (1, 2))), ReductionMap(2, 0, ()), ReductionMap(4, 1, ())]
+    maps = [ReductionMap(3, Graph(4, ((0, 1), (0, 3), (1, 2)))), ReductionMap(2, Graph(0)), ReductionMap(4, Graph(1))]
     texts = [rmap.to_json() for rmap in maps]
     others = ["[]", "{", texts[0][:-2], json.dumps(json.loads(texts[0])), texts[0].encode(), None]
 
@@ -254,8 +255,7 @@ def _line_of_first_difference(text, reference):
 _AT_LINE = re.compile(r"reduction map differs from the reduction of its k=\d+, n=\d+ and source edges at line (\d+)")
 # The faults that have no line: the header, a k below 2 as the map refuses it, and the edge list as Graph checks it.
 _NO_LINE = re.compile(
-    r"reduction map (has no to_json header|lists do not|source edges are not)|palette size must be at least 2, got [01]$"
-    r"|self-loop|edge \("
+    r"reduction map (has no to_json header|lists do not)|palette size must be at least 2, got [01]$|self-loop|edge \("
 )
 
 # Where a single-character edit of a sidecar lands: digits of the header counts, of tags, of boundaries, of
@@ -285,7 +285,7 @@ def test_single_character_edits_are_refused_at_their_line(k, g, where, op, char,
     edge-conflict tags as they were is refused at the line of its first changed character. Any other edit is
     refused for its header or edge list, or at the first line where it differs from the reduction it now spells,
     unless (with no source vertex) it spells another map's text whole."""
-    text = ReductionMap(k, g.n, g.edges).to_json()
+    text = ReductionMap(k, g).to_json()
     spans = (range(*m.span()) for m in re.finditer(_EDIT_SPOTS[where], text))
     spots = [i for span in spans for i in span if where == "space" or text[i].isdigit()]
     assume(spots)
@@ -308,7 +308,7 @@ def test_single_character_edits_are_refused_at_their_line(k, g, where, op, char,
         assert named == _line_of_first_difference(edited, text)
         assert named in (at, at + 1)  # the line after only where a newline goes in before a newline
     elif line:
-        reference = ReductionMap(spelled[0], spelled[1], spelled[3]).to_json()
+        reference = ReductionMap(spelled[0], Graph(spelled[1], spelled[3])).to_json()
         assert int(line[1]) == _line_of_first_difference(edited, reference)
     else:
         assert _NO_LINE.match(message), message
@@ -322,14 +322,6 @@ def test_map_from_json_names_missing_field():
     assert text.splitlines()[7] == '  "gadgets": ['
     with pytest.raises(ValueError, match="at line 8$"):
         ReductionMap.from_json(text)
-
-
-def _unchecked(k, n, edges):
-    """A map with fields that no reduction has, which `ReductionMap` itself refuses; its `to_json` writes them in
-    the sidecar's layout all the same."""
-    rmap = object.__new__(ReductionMap)
-    vars(rmap).update(k=k, n=n, edges=edges)
-    return rmap
 
 
 def _edited_sidecar(edit):
@@ -350,8 +342,8 @@ def _edited_sidecar(edit):
         _edited_sidecar(lambda doc: doc.update(n=10**12)),
         _edited_sidecar(lambda doc: doc.update(k=10**9)),
         _edited_sidecar(lambda doc: doc["gadgets"][-3].update(tag="edge-conflict:1:9:0")),
-        _unchecked(0, 0, ()).to_json(),  # to_json's own layout of a palette no reduction has
-        _unchecked(1, 2, ((0, 1),)).to_json(),
+        ReductionMap(2, Graph(0)).to_json().replace('"k": 2', '"k": 0', 1),  # to_json's own layout at k = 0
+        _edited_sidecar(lambda doc: doc.update(k=1)),
     ],
     ids=["array", "indicator-int", "internal-len", "k", "huge-n", "huge-k", "edge-tag", "k-0", "k-1"],
 )
@@ -387,9 +379,19 @@ def _reverse_edge_records(doc):
     doc["gadgets"][first:] = reversed(doc["gadgets"][first:])
 
 
+_PATH = ReductionMap(3, Graph(3, ((0, 1), (1, 2))))
+_DIFFERS = "reduction map differs from the reduction of its k=3, n={} and source edges at line {}"
+
+
 def _with_n(rmap, n):
-    """A map whose edges are no graph's, written as to_json lays it out, with the header's n set to `n`."""
-    return rmap.to_json().replace(f'"n": {rmap.n},', f'"n": {n},', 1)
+    """The map's sidecar with the header's n set to `n`."""
+    return rmap.to_json().replace(f'"n": {rmap.source.n},', f'"n": {n},', 1)
+
+
+def _with_tags(rmap, *edges):
+    """The map's sidecar with its c = 0 edge-conflict tags spelling `edges` in turn."""
+    spelled = iter(edges)
+    return re.sub(r"edge-conflict:[0-9]+:[0-9]+:0", lambda _: "edge-conflict:%d:%d:0" % next(spelled), rmap.to_json())
 
 
 @pytest.mark.parametrize(
@@ -399,14 +401,11 @@ def _with_n(rmap, n):
             _edited_sidecar(lambda doc: doc["gadgets"][_first_edge_record(doc)].update(tag="edge-conflict:x:1:0")),
             "reduction map differs from the reduction of its k=3, n=4 and source edges at line 4",  # e: one tag fewer
         ),
-        (
-            _edited_sidecar(_reverse_edge_records),
-            r"reduction map source edges are not sorted, distinct pairs \(u < v\)",
-        ),
-        (_with_n(_unchecked(3, 2, ((1, 1),)), 2), "self-loop at vertex 1"),
-        (_with_n(_unchecked(3, 3, ((0, 2), (0, 1))), 3), "reduction map source edges are not sorted"),
-        (_with_n(_unchecked(3, 3, ((0, 1), (0, 1))), 3), "reduction map source edges are not sorted"),
-        (_with_n(ReductionMap(3, 3, ((0, 2),)), 2), r"edge \(0,2\) out of range for n=2"),
+        (_edited_sidecar(_reverse_edge_records), _DIFFERS.format(4, 196)),  # at the first edge-conflict tag
+        (_with_tags(ReductionMap(3, Graph(2, ((0, 1),))), (1, 1)), "self-loop at vertex 1"),
+        (_with_tags(_PATH, (1, 2), (0, 1)), _DIFFERS.format(3, 150)),  # at the first edge-conflict tag
+        (_with_tags(_PATH, (0, 1), (0, 1)), _DIFFERS.format(3, 4)),  # at e: one distinct edge, not two
+        (_with_n(ReductionMap(3, Graph(3, ((0, 2),))), 2), r"edge \(0,2\) out of range for n=2"),
     ],
     ids=["non-integer-field", "edges-out-of-order", "self-loop", "unsorted", "repeated", "out-of-range"],
 )
@@ -425,17 +424,17 @@ def _traced_peak(f):
 
 
 @pytest.mark.parametrize(
-    "fields, message",
+    "k, n, edges, message",
     [
-        ((0, 2, ()), "palette size must be at least 2, got 0"),
-        ((1, 2, ((0, 1),)), "palette size must be at least 2, got 1"),
-        ((3, 2, ((1, 1),)), "self-loop at vertex 1"),
+        (0, 2, (), "palette size must be at least 2, got 0"),
+        (1, 2, ((0, 1),), "palette size must be at least 2, got 1"),
+        (3, 2, ((1, 1),), "self-loop at vertex 1"),  # refused by Graph, before any map is made
     ],
     ids=["k-0", "k-1", "self-loop"],
 )
-def test_map_refuses_fields_no_reduction_has(fields, message):
+def test_map_refuses_fields_no_reduction_has(k, n, edges, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ReductionMap(*fields)
+        ReductionMap(k, Graph(n, edges))
 
 
 def _refusal(f):
@@ -445,25 +444,52 @@ def _refusal(f):
     return str(refused.value)
 
 
-def test_size_cap_refuses_a_reduction_before_building_it():
+def test_size_cap_refuses_a_reduction_before_building_it(monkeypatch):
     # K2 at k = 100,000: G' would have about 2 * 10**10 vertices, and building it runs out of memory.
     g, k = complete_graph(2), 10**5
     expected = f"reduced graph would have {formula_vertices(2, 1, k)} vertices, above the cap of 1789569"
-    for f in (lambda: size_report(g, k), lambda: reduce_to_3col(g, k), lambda: compare_routes(g, k, 0)):
+    for f in (lambda: reduce_to_3col(g, k), lambda: compare_routes(g, k, 1.0)):
         peak, message = _traced_peak(lambda: _refusal(f))
         assert message == expected
         assert peak < 2**20
-    # The cap is on G''s closed-form vertex count, 6n + 3 for an edgeless source at k = 2.
+    # Sizes alone are closed forms, so they are not capped.
+    record = compare_routes(g, k, 0)
+    assert size_report(g, k).vertices == record["sane"]["vertices"] == formula_vertices(2, 1, k)
+    assert record["decisions"] == {"sane": None, "sat_route": None}
+    # The cap is on G''s closed-form vertex count, 6n + 3 for an edgeless source at k = 2: a G' at the cap gets as
+    # far as its build (stubbed here), and one vertex more is refused.
     assert size_report(Graph(298_261, ()), 2).vertices == 1_789_569
+
+    def build(rmap):
+        raise InvariantViolation(f"would build the G' of {rmap.source.n} vertices")
+
+    monkeypatch.setattr(ReductionMap, "reconstruct_graph", build)
+    with pytest.raises(InvariantViolation, match="^would build the G' of 298261 vertices$"):
+        reduce_to_3col(Graph(298_261, ()), 2)
     with pytest.raises(ValueError, match="^reduced graph would have 1789575 vertices, above the cap of 1789569$"):
-        size_report(Graph(298_262, ()), 2)
+        reduce_to_3col(Graph(298_262, ()), 2)
+
+
+def test_a_map_holds_its_source_graph(monkeypatch):
+    g = gen_gnp(12, 0.3, 7)
+    rmap = reduce_to_3col(g, 4)[1]
+    assert rmap.source is g
+    text, builds, post_init = rmap.to_json(), [], Graph.__post_init__
+
+    def counted(self, *args):
+        builds.append(args)
+        post_init(self, *args)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    assert ReductionMap.from_json(text).source == g
+    assert len(builds) == 1
 
 
 def test_empty_reduction_memory_does_not_grow_with_k_squared():
     # At k = 2000 a list of the k(k-1)/2 color pairs alone would take over 100 MiB.
-    sidecar = ReductionMap(2000, 0, ()).to_json()
+    sidecar = ReductionMap(2000, Graph(0)).to_json()
     peak, rmap = _traced_peak(lambda: ReductionMap.from_json(sidecar))
-    assert rmap == ReductionMap(2000, 0, ())
+    assert rmap == ReductionMap(2000, Graph(0))
     assert peak < 2**20
     peak, (gprime, _) = _traced_peak(lambda: reduce_to_3col(Graph(0, ()), 2000))
     assert (gprime.n, gprime.e) == (3, 3)
@@ -495,7 +521,7 @@ def test_a_header_as_large_as_its_text_is_walked():
 
 def test_from_json_peaks_below_the_length_of_its_own_text():
     g = gen_gnp(200, 0.05, 1)
-    rmap = ReductionMap(4, g.n, g.edges)
+    rmap = ReductionMap(4, g)
     text = rmap.to_json()
     peak, restored = _traced_peak(lambda: ReductionMap.from_json(text))
     assert restored == rmap
@@ -532,6 +558,12 @@ def test_size_report_fixture_values():
     assert rep2.crude_bound_edges == 28
     assert rep2.vertex_bound_holds is True
     assert rep2.edge_bound_holds is False
+
+    # The edge count meets its bound exactly when n(k - 2)(k - 5) = 6(ke + 1), as at n = 9, e = 2, k = 7; the vertex
+    # count never meets its bound, which would need n(k^2 - 3k + 4) = 3.
+    rep3 = size_report(Graph(9, ((0, 1), (0, 2))), 7)
+    assert rep3.edges == rep3.crude_bound_edges == 1351
+    assert rep3.edge_bound_holds is True
 
 
 def test_vertex_bound_holds_for_k_at_least_four():

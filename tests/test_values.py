@@ -39,7 +39,7 @@ CASES = {
     Coloring: _case({"palette_size": 3, "assignment": [0, 2, 1]}, {"palette_size": 3, "assignment": (0, 2, 1)}),
     GadgetInstance: _case({"boundary": (0, 1, 2), "internal_start": 3}),
     GadgetSemantics: _case({"arity": 2, "table": TABLE}),
-    ReductionMap: _case({"k": 3, "n": 2, "edges": ((0, 1),)}),
+    ReductionMap: _case({"k": 3, "source": Graph(2, ((0, 1),))}),
     SizeReport: _case(SIZES),
     SolveOutcome: _case(OUTCOME),
     CnfFormula: _case({"var_count": 2, "clauses": [[1, -2], [2]]}, {"var_count": 2, "clauses": ((1, -2), (2,))}),
